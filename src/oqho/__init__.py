@@ -7,175 +7,23 @@ annihilation-creation parameterizations, factors commutation matrices, and
 reports pole/zero mirror diagnostics.
 """
 
-from .errors import (
-    DimensionError,
-    NearPoleError,
-    NotRealizableError,
-    SamplePlacementError,
-    SchemaError,
-    SingularMatrixError,
-    StructureError,
-)
-from .forms import (
-    AcParams,
-    ComplexStateSpace,
-    PmParams,
-    ac_to_pm,
-    build_ac_realization,
-    build_pm_realization,
-    eval_ac_tf,
-    eval_conjugate_ac_tf,
-    ito_matrix,
-    pm_to_ac,
-    pm_to_ac_realization_consistency,
-)
-from .realizability import (
-    JjUnitarityResult,
-    PrReport,
-    SynthesisResult,
-    check_jj_unitary,
-    check_pr_frequency,
-    check_pr_time_domain,
-    compute_f,
-    compute_f_via_controllability,
-    draw_sample_points,
-    pr_zero_pole_mirror,
-    synthesize,
-)
-from .skewfactor import SkewFactorization, cholesky_like, murnaghan, relate_ccr
-from .statespace import (
-    RationalEntry,
-    SpectrumReport,
-    StateSpace,
-    block_diag,
-    controllability_matrix,
-    controllability_rank,
-    eval_conjugate_tf,
-    eval_tf,
-    inverse_realization,
-    is_minimal,
-    match_multisets,
-    minimal_realization,
-    observability_matrix,
-    observability_rank,
-    poles,
-    similarity_transform,
-    siso_realization,
-    spectrum_report,
-    transmission_zeros,
-)
-from .structured import (
-    DEFAULT_TOLERANCE,
-    StructureTolerance,
-    bold_j_matrix,
-    doubled_up,
-    extract_bold_blocks,
-    is_doubled_up,
-    is_hermitian,
-    is_orthogonal,
-    is_orthosymplectic,
-    is_skew_symmetric,
-    is_symmetric,
-    is_symplectic,
-    is_unitary,
-    j_matrix,
-    nabla,
-    t_matrix,
-)
-from .worked_example import (
-    EXAMPLE_POLES,
-    EXAMPLE_ZEROS,
-    example_ac_params,
-    example_pm_params,
-    example_rational_entries,
-    example_state_space,
-    run_worked_example,
-)
+from .errors import *
+from .forms import *
+from .realizability import *
+from .skewfactor import *
+from .statespace import *
+from .structured import *
+from .worked_example import *
 
 __version__ = "0.1.0"
 
 __all__ = [
+    *errors.__all__,
+    *structured.__all__,
+    *statespace.__all__,
+    *skewfactor.__all__,
+    *forms.__all__,
+    *realizability.__all__,
+    *worked_example.__all__,
     "__version__",
-    # errors
-    "DimensionError",
-    "NearPoleError",
-    "NotRealizableError",
-    "SamplePlacementError",
-    "SchemaError",
-    "SingularMatrixError",
-    "StructureError",
-    # structured matrices
-    "DEFAULT_TOLERANCE",
-    "StructureTolerance",
-    "bold_j_matrix",
-    "doubled_up",
-    "extract_bold_blocks",
-    "is_doubled_up",
-    "is_hermitian",
-    "is_orthogonal",
-    "is_orthosymplectic",
-    "is_skew_symmetric",
-    "is_symmetric",
-    "is_symplectic",
-    "is_unitary",
-    "j_matrix",
-    "nabla",
-    "t_matrix",
-    # state space
-    "RationalEntry",
-    "SpectrumReport",
-    "StateSpace",
-    "block_diag",
-    "controllability_matrix",
-    "controllability_rank",
-    "eval_conjugate_tf",
-    "eval_tf",
-    "inverse_realization",
-    "is_minimal",
-    "match_multisets",
-    "minimal_realization",
-    "observability_matrix",
-    "observability_rank",
-    "poles",
-    "similarity_transform",
-    "siso_realization",
-    "spectrum_report",
-    "transmission_zeros",
-    # skew factorization
-    "SkewFactorization",
-    "cholesky_like",
-    "murnaghan",
-    "relate_ccr",
-    # parameter forms
-    "AcParams",
-    "ComplexStateSpace",
-    "PmParams",
-    "ac_to_pm",
-    "build_ac_realization",
-    "build_pm_realization",
-    "eval_ac_tf",
-    "eval_conjugate_ac_tf",
-    "ito_matrix",
-    "pm_to_ac",
-    "pm_to_ac_realization_consistency",
-    # realizability
-    "JjUnitarityResult",
-    "PrReport",
-    "SynthesisResult",
-    "check_jj_unitary",
-    "check_pr_frequency",
-    "check_pr_time_domain",
-    "compute_f",
-    "compute_f_via_controllability",
-    "draw_sample_points",
-    "pr_zero_pole_mirror",
-    "synthesize",
-    # reference model
-    "EXAMPLE_POLES",
-    "EXAMPLE_ZEROS",
-    "example_ac_params",
-    "example_pm_params",
-    "example_rational_entries",
-    "example_state_space",
-    "run_worked_example",
 ]

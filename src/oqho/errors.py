@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DimensionError",
+    "SchemaError",
+    "StructureError",
+    "SingularMatrixError",
+    "NearPoleError",
+    "SamplePlacementError",
+    "NotRealizableError",
+]
+
 
 class DimensionError(ValueError):
     """Matrix arguments have incompatible or disallowed dimensions."""

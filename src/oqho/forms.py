@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NearPoleError, SingularMatrixError, StructureError
+from .errors import DimensionError, SingularMatrixError, StructureError
 from .skewfactor import cholesky_like
-from .statespace import RESOLVENT_GUARD, StateSpace
+from .statespace import StateSpace, _evaluate_quadruple
 from .structured import (
     StructureTolerance,
     bold_j_matrix,
@@ -324,21 +324,9 @@ def build_ac_realization(params: AcParams, tol=None) -> ComplexStateSpace:
     return ComplexStateSpace(f, g, n_mat, k)
 
 
-def _eval_complex_quadruple(f, g, l, k, s: complex) -> np.ndarray:
-    s = complex(s)
-    if f.shape[0] == 0:
-        return k.copy()
-    lam = np.linalg.eigvals(f)
-    dist = np.abs(lam - s)
-    idx = int(np.argmin(dist))
-    if dist[idx] < RESOLVENT_GUARD * (1.0 + abs(s)):
-        raise NearPoleError(s, lam[idx])
-    return l @ np.linalg.solve(s * np.eye(f.shape[0]) - f, g) + k
-
-
 def eval_ac_tf(css: ComplexStateSpace, s: complex) -> np.ndarray:
-    """Evaluate L (sI - F)^{-1} G + K with the same near-pole guard as eval_tf."""
-    return _eval_complex_quadruple(css.F, css.G, css.L, css.K, s)
+    """Evaluate L (sI - F)^{-1} G + K by the evaluator and near-pole guard of eval_tf."""
+    return _evaluate_quadruple(css.F, css.G, css.L, css.K, [s])[0]
 
 
 def eval_conjugate_ac_tf(css: ComplexStateSpace, s: complex) -> np.ndarray:

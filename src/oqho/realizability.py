@@ -39,8 +39,7 @@ from .skewfactor import relate_ccr
 from .statespace import (
     StateSpace,
     controllability_matrix,
-    eval_conjugate_tf,
-    eval_tf,
+    evaluate,
     inverse_realization,
     is_minimal,
     minimal_realization,
@@ -164,10 +163,10 @@ def check_jj_unitary(ss: StateSpace, num_samples: int = 20, tol: float = 1e-8,
     lam = poles(ss)
     avoid = np.concatenate([lam, -lam.conj()]) if lam.size else lam
     pts = draw_sample_points(avoid, num_samples, seed)
+    g_stack = evaluate(ss, pts)
+    g_conj_stack = evaluate(ss, -np.conj(pts)).conj().transpose(0, 2, 1)
     max_resid = 0.0
-    for s in pts:
-        g = eval_tf(ss, s)
-        g_conj = eval_conjugate_tf(ss, s)
+    for g, g_conj in zip(g_stack, g_conj_stack):
         r1 = np.linalg.norm(g_conj @ j @ g - j)
         r2 = np.linalg.norm(g @ j @ g_conj - j)
         max_resid = max(max_resid, float(r1), float(r2))
@@ -478,9 +477,7 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = 1e-8,
     avoid = np.concatenate([avoid, -avoid.conj()])
     pts = draw_sample_points(avoid, num_samples, seed)
     max_dev = 0.0
-    for s in pts:
-        ref = eval_tf(work, s)
-        got = eval_tf(rebuilt, s)
+    for ref, got in zip(evaluate(work, pts), evaluate(rebuilt, pts)):
         max_dev = max(
             max_dev, float(np.linalg.norm(got - ref) / max(1.0, np.linalg.norm(ref)))
         )

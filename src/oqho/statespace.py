@@ -1,8 +1,14 @@
 """State-space realizations and rational transfer-matrix utilities.
 
 Provides construction of realizations from diagonal rational entries,
-transfer-function evaluation by linear solve, Kalman-style minimality
-reduction, inverse realizations, and pole/zero spectrum reports.
+transfer-function evaluation, Kalman-style minimality reduction, inverse
+realizations, and pole/zero spectrum reports.
+
+Every transfer-matrix value in the package, real or complex, G or G~, comes
+from one stacked evaluator: a single eigendecomposition of the state matrix
+guards all requested points against nearby poles, and a single stacked linear
+solve gives every resolvent.  The conjugate system G~(s) is the adjoint of G
+at -conj(s).
 """
 
 from dataclasses import dataclass
@@ -15,6 +21,7 @@ __all__ = [
     "StateSpace",
     "RationalEntry",
     "SpectrumReport",
+    "evaluate",
     "eval_tf",
     "eval_conjugate_tf",
     "similarity_transform",
@@ -195,25 +202,48 @@ def poles(ss: StateSpace) -> np.ndarray:
     return np.linalg.eigvals(ss.A)
 
 
-def eval_tf(ss: StateSpace, s: complex) -> np.ndarray:
-    """Evaluate C (sI - A)^{-1} B + D at one point by linear solve.
+def _evaluate_quadruple(a, b, c, d, points) -> np.ndarray:
+    """Stack of c (sI - a)^{-1} b + d over ``points``, shape (k, outputs, inputs).
 
-    Raises NearPoleError when s falls within RESOLVENT_GUARD * (1 + |s|) of an
-    eigenvalue of A, since the resolvent solve is meaningless there.
+    Raises NearPoleError naming the first point that falls within
+    RESOLVENT_GUARD * (1 + |s|) of an eigenvalue of ``a``, since the resolvent
+    solve is meaningless there.  Real and complex quadruples are both accepted.
     """
-    s = complex(s)
-    d = ss.D.astype(complex)
-    if ss.state_dim == 0:
-        return d
-    lam = poles(ss)
-    dist = np.abs(lam - s)
-    k = int(np.argmin(dist))
-    if dist[k] < RESOLVENT_GUARD * (1.0 + abs(s)):
-        raise NearPoleError(s, lam[k])
-    resolvent = np.linalg.solve(
-        s * np.eye(ss.state_dim) - ss.A.astype(complex), ss.B.astype(complex)
-    )
-    return ss.C @ resolvent + d
+    pts = np.asarray(points, dtype=complex).reshape(-1)
+    k, n = pts.size, a.shape[0]
+    d = d.astype(complex)
+    if k == 0 or n == 0:
+        return np.repeat(d[None], k, axis=0)
+    lam = np.linalg.eigvals(a)
+    dist = np.abs(lam[None, :] - pts[:, None])
+    nearest = np.argmin(dist, axis=1)
+    near = dist[np.arange(k), nearest] < RESOLVENT_GUARD * (1.0 + np.abs(pts))
+    if near.any():
+        i = int(np.argmax(near))
+        raise NearPoleError(complex(pts[i]), lam[nearest[i]])
+    # sI - A for every point, built in place in one (k, n, n) allocation
+    shifted = np.zeros((k, n, n), dtype=complex)
+    shifted -= a
+    diag = np.arange(n)
+    shifted[:, diag, diag] += pts[:, None]
+    return c @ np.linalg.solve(shifted, b[None]) + d
+
+
+def evaluate(ss: StateSpace, points) -> np.ndarray:
+    """Transfer matrices C (sI - A)^{-1} B + D at every point, stacked (k, q, p).
+
+    All k resolvents are solved in one stack, so peak memory grows as
+    O(k n^2) in the number of points k for n states.
+
+    The conjugate system G~ at the same points is
+    ``evaluate(ss, -np.conj(points)).conj().transpose(0, 2, 1)``.
+    """
+    return _evaluate_quadruple(ss.A, ss.B, ss.C, ss.D, points)
+
+
+def eval_tf(ss: StateSpace, s: complex) -> np.ndarray:
+    """Evaluate C (sI - A)^{-1} B + D at one point (see :func:`evaluate`)."""
+    return evaluate(ss, [s])[0]
 
 
 def eval_conjugate_tf(ss: StateSpace, s: complex) -> np.ndarray:
@@ -301,20 +331,25 @@ def match_multisets(left, right, tol: float = 1e-6):
 
     Returns (matched, max_distance).  ``matched`` is False when the sizes
     differ or some pairing distance exceeds ``tol``; the left list is visited
-    in lexicographic (real, imag) order to keep the pairing deterministic.
+    in lexicographic (real, imag) order to keep the pairing deterministic, and
+    each takes the nearest still-unused right value (the first one on ties).
     """
-    left = list(np.asarray(left, dtype=complex))
-    right = list(np.asarray(right, dtype=complex))
-    if len(left) != len(right):
+    left = np.asarray(left, dtype=complex).reshape(-1)
+    right = np.asarray(right, dtype=complex).reshape(-1)
+    if left.size != right.size:
         return False, float("inf")
+    left = left[np.lexsort((left.imag, left.real))]
+    diff = left[:, None] - right[None, :]
+    # hypot rounds exactly as the scalar abs(); np.abs on complex arrays may not
+    dists = np.hypot(diff.real, diff.imag)
+    free = np.ones(right.size, dtype=bool)
     max_dist = 0.0
-    for z in sorted(left, key=lambda w: (w.real, w.imag)):
-        dists = [abs(z - w) for w in right]
-        k = int(np.argmin(dists))
-        max_dist = max(max_dist, dists[k])
-        if dists[k] > tol:
+    for row in dists:
+        k = np.flatnonzero(free)[np.argmin(row[free])]
+        max_dist = max(max_dist, row[k])
+        if row[k] > tol:
             return False, max_dist
-        right.pop(k)
+        free[k] = False
     return True, max_dist
 
 
@@ -329,14 +364,8 @@ def spectrum_report(ss: StateSpace, pairing_tol: float = 1e-6) -> SpectrumReport
     z = transmission_zeros(ss)
     mirrored = -p.conj()
     matched, max_dist = match_multisets(mirrored, z, pairing_tol)
-    generic = True
-    for lam in p:
-        for nu in p:
-            if abs(lam + np.conj(nu)) <= pairing_tol:
-                generic = False
-                break
-        if not generic:
-            break
+    mirror_gap = p[:, None] + p.conj()[None, :]
+    generic = not (np.hypot(mirror_gap.real, mirror_gap.imag) <= pairing_tol).any()
     return SpectrumReport(
         poles=p,
         zeros=z,

@@ -270,3 +270,71 @@ def test_spectrum_report_static_vacuous():
     rep = spectrum_report(StateSpace.static(np.eye(2)))
     assert rep.poles.size == 0 and rep.zeros.size == 0
     assert rep.mirror_symmetric and rep.spectrally_generic
+
+
+def reference_match_multisets(left, right, tol=1e-6):
+    """The list-based greedy pairing that match_multisets vectorizes."""
+    left = list(np.asarray(left, dtype=complex))
+    right = list(np.asarray(right, dtype=complex))
+    if len(left) != len(right):
+        return False, float("inf")
+    max_dist = 0.0
+    for z in sorted(left, key=lambda w: (w.real, w.imag)):
+        dists = [abs(z - w) for w in right]
+        k = int(np.argmin(dists))
+        max_dist = max(max_dist, dists[k])
+        if dists[k] > tol:
+            return False, max_dist
+        right.pop(k)
+    return True, max_dist
+
+
+def reference_spectrally_generic(p, tol):
+    """The double loop over pole pairs that spectrum_report vectorizes."""
+    for lam in p:
+        for nu in p:
+            if abs(lam + np.conj(nu)) <= tol:
+                return False
+    return True
+
+
+def test_match_multisets_equals_list_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        n = int(rng.integers(0, 9))
+        if rng.uniform() < 0.5:
+            # Gaussian integers from a small grid: repeated values and exact ties
+            left = rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n)
+            right = rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n)
+            tol = float(rng.choice([0.0, 0.5, 1.0, 1.5, 2.5, 10.0]))
+        else:
+            left = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            left[: n // 3] = left[n - n // 3:]
+            right = rng.permutation(left) + 1e-7 * rng.standard_normal(n)
+            tol = float(rng.choice([1e-9, 1e-6, 1.0]))
+        want = reference_match_multisets(left, right, tol)
+        got = match_multisets(left, right, tol)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+
+
+def test_spectral_genericity_equals_pairwise_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        blocks = []
+        for _ in range(int(rng.integers(1, 5))):
+            re = float(rng.choice([0.0, 1.0, -1.0, rng.standard_normal()]))
+            if rng.uniform() < 0.5:
+                blocks.append(np.array([[re]]))
+            else:
+                im = float(rng.choice([1.0, 2.0, rng.standard_normal()]))
+                blocks.append(np.array([[re, im], [-im, re]]))
+        n = sum(b.shape[0] for b in blocks)
+        a = np.zeros((n, n))
+        i = 0
+        for b in blocks:
+            a[i:i + b.shape[0], i:i + b.shape[0]] = b
+            i += b.shape[0]
+        ss = StateSpace(a, np.eye(n), np.eye(n), 2.0 * np.eye(n))
+        rep = spectrum_report(ss)
+        assert rep.spectrally_generic == reference_spectrally_generic(rep.poles, 1e-6)

@@ -38,7 +38,6 @@ from .forms import PmParams, build_pm_realization
 from .skewfactor import relate_ccr
 from .statespace import (
     StateSpace,
-    controllability_matrix,
     evaluate,
     inverse_realization,
     is_minimal,
@@ -63,7 +62,6 @@ __all__ = [
     "check_pr_frequency",
     "check_pr_time_domain",
     "compute_f",
-    "compute_f_via_controllability",
     "synthesize",
     "pr_zero_pole_mirror",
 ]
@@ -373,26 +371,6 @@ def compute_f(ss: StateSpace, tol: float = 1e-8) -> np.ndarray:
     """
     _, f, _ = _solve_f(ss, tol)
     return f
-
-
-def compute_f_via_controllability(ss: StateSpace) -> np.ndarray:
-    """Cross-check route for F: match the controllability matrices directly.
-
-    The similarity aligning the inverse realization with the adjoint of the
-    inverse realization is C2 pinv(C1), with C1, C2 the controllability
-    matrices of the two sides.  Exists (uniquely) when the input is minimal.
-    """
-    n2 = ss.state_dim
-    if n2 == 0:
-        raise ValueError("no dynamics: a static system does not define F")
-    channels = ss.require_square_channels()
-    d_inv = np.linalg.inv(ss.D)
-    b_dinv = ss.B @ d_inv
-    a_inv = ss.A - b_dinv @ ss.C
-    j = j_matrix(channels)
-    c1 = controllability_matrix(a_inv, b_dinv)
-    c2 = controllability_matrix(-ss.A.T, ss.C.T @ j)
-    return c2 @ np.linalg.pinv(c1)
 
 
 def synthesize(ss: StateSpace, theta_target=None, tol: float = 1e-8,

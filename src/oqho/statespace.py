@@ -1,8 +1,9 @@
 """State-space realizations and rational transfer-matrix utilities.
 
 Provides construction of realizations from diagonal rational entries,
-transfer-function evaluation, Kalman-style minimality reduction, inverse
-realizations, and pole/zero spectrum reports.
+transfer-function evaluation, minimality tests and reduction by the orthogonal
+controllability staircase, inverse realizations, and pole/zero spectrum
+reports.
 
 Every transfer-matrix value in the package, real or complex, G or G~, comes
 from one stacked evaluator: a single eigendecomposition of the state matrix
@@ -25,10 +26,6 @@ __all__ = [
     "eval_tf",
     "eval_conjugate_tf",
     "similarity_transform",
-    "controllability_matrix",
-    "observability_matrix",
-    "controllability_rank",
-    "observability_rank",
     "is_minimal",
     "minimal_realization",
     "inverse_realization",
@@ -45,6 +42,10 @@ RESOLVENT_GUARD = 1e-9
 
 # Singular values below SINGULARITY_CUTOFF * s_max mark a matrix as non-invertible.
 SINGULARITY_CUTOFF = 1e-12
+
+# A staircase block direction with singular value below
+# RANK_CUTOFF * max(|A|_F, |B|_F) is taken as unreachable.
+RANK_CUTOFF = 1e-10
 
 
 @dataclass
@@ -165,24 +166,6 @@ def _strip_leading(coeffs):
     return coeffs[i:]
 
 
-def _numeric_rank(mat: np.ndarray, rank_atol: float = 0.0) -> int:
-    if mat.size == 0:
-        return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    cutoff = max(max(mat.shape) * np.finfo(float).eps * sv[0], rank_atol)
-    return int(np.count_nonzero(sv > cutoff))
-
-
-def _range_basis(mat: np.ndarray, rank_atol: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the column space, rank decided by SVD threshold."""
-    if mat.size == 0:
-        return np.zeros((mat.shape[0], 0))
-    u, sv, _ = np.linalg.svd(mat, full_matrices=False)
-    cutoff = max(max(mat.shape) * np.finfo(float).eps * sv[0], rank_atol) if sv.size else 0.0
-    r = int(np.count_nonzero(sv > cutoff))
-    return u[:, :r]
-
-
 def _inv_checked(mat: np.ndarray, name: str) -> np.ndarray:
     if mat.size == 0:
         return mat.reshape(mat.shape)
@@ -263,49 +246,47 @@ def similarity_transform(ss: StateSpace, t: np.ndarray) -> StateSpace:
     return StateSpace(a_new, t @ ss.B, c_new, ss.D.copy())
 
 
-def controllability_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    blocks = [b]
-    for _ in range(n - 1):
-        blocks.append(a @ blocks[-1])
-    return np.hstack(blocks)
+def _reachable_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the reachable subspace of (a, b): the orthogonal staircase.
+
+    Block Arnoldi: each new block a @ V_k is orthogonalized twice against the
+    basis so far, and an SVD keeps the directions whose singular values clear
+    RANK_CUTOFF * max(|a|_F, |b|_F).  No power of ``a`` is formed: the
+    Krylov matrix [b, ab, ..., a^{n-1} b] loses rank numerically from a few
+    modes up and overflows at a few hundred states (Paige, 1981).
+    """
+    cutoff = RANK_CUTOFF * max(np.linalg.norm(a), np.linalg.norm(b))
+    basis = np.zeros((a.shape[0], 0))
+    block = b
+    while block.shape[1] and basis.shape[1] < a.shape[0]:
+        for _ in range(2):
+            block = block - basis @ (basis.T @ block)
+        u, sv, _ = np.linalg.svd(block, full_matrices=False)
+        new = u[:, sv > cutoff]
+        basis = np.hstack([basis, new])
+        block = a @ new
+    return basis
 
 
-def observability_matrix(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return controllability_matrix(a.T, c.T).T
-
-
-def controllability_rank(ss: StateSpace, rank_atol: float = 0.0) -> int:
-    return _numeric_rank(controllability_matrix(ss.A, ss.B), rank_atol)
-
-
-def observability_rank(ss: StateSpace, rank_atol: float = 0.0) -> int:
-    return _numeric_rank(observability_matrix(ss.A, ss.C), rank_atol)
-
-
-def is_minimal(ss: StateSpace, rank_atol: float = 0.0) -> bool:
-    """Full controllability and observability ranks (vacuously true when static)."""
+def is_minimal(ss: StateSpace) -> bool:
+    """Controllable and observable: both staircase bases span the state (true when static)."""
     n = ss.state_dim
-    if n == 0:
-        return True
     return (
-        controllability_rank(ss, rank_atol) == n
-        and observability_rank(ss, rank_atol) == n
+        _reachable_basis(ss.A, ss.B).shape[1] == n
+        and _reachable_basis(ss.A.T, ss.C.T).shape[1] == n
     )
 
 
-def minimal_realization(ss: StateSpace, rank_atol: float = 0.0) -> StateSpace:
+def minimal_realization(ss: StateSpace) -> StateSpace:
     """Project onto the controllable subspace, then onto the observable one.
 
-    Both projections use orthonormal SVD range bases, so the transfer function
+    Both projections use orthonormal staircase bases, so the transfer function
     is preserved while unreachable and unobservable directions are discarded.
     """
     a, b, c = ss.A, ss.B, ss.C
-    v = _range_basis(controllability_matrix(a, b), rank_atol)
+    v = _reachable_basis(a, b)
     a, b, c = v.T @ a @ v, v.T @ b, c @ v
-    w = _range_basis(observability_matrix(a, c).T, rank_atol)
+    w = _reachable_basis(a.T, c.T)
     a, b, c = w.T @ a @ w, w.T @ b, c @ w
     return StateSpace(a, b, c, ss.D.copy())
 

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oqho
 from oqho import jsonio
 from oqho.cli import main
 from oqho.forms import build_pm_realization
@@ -210,6 +213,7 @@ def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "oqho", "example"],
         capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(oqho.__file__).parent.parent)),
     )
     assert proc.returncode == 0
     assert "verdict: PR" in proc.stdout

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oqho.errors import DimensionError, NearPoleError, SingularMatrixError
+from oqho.forms import build_pm_realization
+from oqho.sampling import random_orthogonal, random_pm_params
 from oqho.statespace import (
     RationalEntry,
     StateSpace,
     block_diag,
     eval_conjugate_tf,
     eval_tf,
+    evaluate,
     inverse_realization,
     is_minimal,
     match_multisets,
@@ -215,6 +218,97 @@ def test_minimal_realization_strips_hidden_modes():
 
 def test_example_is_minimal():
     assert is_minimal(example_state_space())
+
+
+def reference_controllability_matrix(a, b):
+    """The Krylov matrix [B, AB, ..., A^{n-1} B] the staircase replaced."""
+    blocks = [b]
+    for _ in range(a.shape[0] - 1):
+        blocks.append(a @ blocks[-1])
+    return np.hstack(blocks)
+
+
+def reference_numeric_rank(mat):
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return int(np.count_nonzero(sv > max(mat.shape) * np.finfo(float).eps * sv[0]))
+
+
+def reference_is_minimal(ss):
+    n = ss.state_dim
+    return (
+        reference_numeric_rank(reference_controllability_matrix(ss.A, ss.B)) == n
+        and reference_numeric_rank(reference_controllability_matrix(ss.A.T, ss.C.T)) == n
+    )
+
+
+def test_is_minimal_equals_krylov_reference_on_acceptance_draws():
+    """Same verdicts as the Krylov rank test on the acceptance corpus draws.
+
+    The walk mirrors the corpus fixture in test_acceptance.py (seeds from
+    1000, (modes, channels) cycling over {1,2,3}^2 as draws are kept), so the
+    is_minimal filters there keep exactly the same test data.
+    """
+    dims = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
+    kept = 0
+    for seed in range(1000, 3000):
+        n, m = dims[kept % len(dims)]
+        ss = build_pm_realization(random_pm_params(n, m, np.random.default_rng(seed)))
+        want = reference_is_minimal(ss)
+        assert is_minimal(ss) == want, seed
+        kept += want
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("modes", [8, 16, 32, 64])
+def test_random_pr_systems_are_minimal_at_scale(modes, channels):
+    rng = np.random.default_rng(100 * modes + channels)
+    for _ in range(5):
+        assert is_minimal(build_pm_realization(random_pm_params(modes, channels, rng)))
+
+
+def test_is_minimal_at_256_states():
+    ss = build_pm_realization(random_pm_params(128, 2, np.random.default_rng(256)))
+    assert is_minimal(ss)
+
+
+def padded_system(core, hidden, rng):
+    """core plus 2 hidden states, mixed by a random orthogonal similarity.
+
+    ``hidden`` is "uncontrollable", "unobservable" or "both"; the coupling
+    blocks follow the Kalman decomposition, so the transfer function is core's.
+    """
+    n, p, q = core.state_dim, core.num_inputs, core.num_outputs
+    h, w = rng.uniform(0.5, 2.0), rng.uniform(0.5, 3.0)
+    a = np.zeros((n + 2, n + 2))
+    a[:n, :n] = core.A
+    a[n:, n:] = [[-h, w], [-w, -h]]
+    b = np.vstack([core.B, np.zeros((2, p))])
+    c = np.hstack([core.C, np.zeros((q, 2))])
+    if hidden == "uncontrollable":
+        a[:n, n:] = rng.standard_normal((n, 2))
+        c[:, n:] = rng.standard_normal((q, 2))
+    elif hidden == "unobservable":
+        a[n:, :n] = rng.standard_normal((2, n))
+        b[n:] = rng.standard_normal((2, p))
+    return similarity_transform(StateSpace(a, b, c, core.D), random_orthogonal(n + 2, rng))
+
+
+@pytest.mark.parametrize("hidden", ["uncontrollable", "unobservable", "both"])
+@pytest.mark.parametrize("modes", [1, 2, 3, 5, 8, 16, 32, 64])
+def test_minimal_realization_recovers_true_order_of_padded_systems(modes, hidden):
+    rng = np.random.default_rng(modes)
+    core = build_pm_realization(random_pm_params(modes, 1 + modes % 3, rng))
+    padded = padded_system(core, hidden, rng)
+    assert not is_minimal(padded)
+    reduced = minimal_realization(padded)
+    assert reduced.state_dim == 2 * modes
+    assert is_minimal(reduced)
+    pts = sample_away_from(core, rng, count=8)
+    want = evaluate(core, pts)
+    dev = np.linalg.norm(evaluate(reduced, pts) - want, axis=(1, 2)) / np.maximum(
+        1.0, np.linalg.norm(want, axis=(1, 2))
+    )
+    assert dev.max() <= 1e-10
 
 
 def test_transmission_zeros_of_example():

@@ -2,8 +2,9 @@
 
 Subcommands: check, synthesize, convert, spectrum, factor, example.
 Exit codes: 0 success / realizable, 1 not realizable, 2 input or usage error,
-3 inconclusive.  Reports are JSON with sorted keys, written to --output or to
-stdout; human-readable diagnostics go to stderr.
+3 inconclusive (sample placement or a numerical linear-algebra step failed).
+Reports are JSON with sorted keys, written to --output or to stdout;
+human-readable diagnostics go to stderr.
 """
 
 import argparse
@@ -224,6 +225,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
+    except np.linalg.LinAlgError as exc:
+        sys.stderr.write(f"numerical failure: {exc}\n")
+        return EXIT_INCONCLUSIVE
     except (SchemaError, DimensionError, StructureError, SingularMatrixError,
             ValueError, OSError) as exc:
         return _fail(str(exc))

@@ -20,7 +20,13 @@ parameter-level identities against a given commutation matrix Theta:
 Synthesis recovers oscillator parameters from a minimal realizable system: a
 unique skew similarity F links the inverse realization to the adjoint of the
 inverse realization; its inverse is a commutation matrix in disguise, and a
-square-root change of coordinates moves it onto any requested Theta.
+square-root change of coordinates moves it onto any requested Theta.  F also
+solves the Lyapunov equation A^T F + F A = C^T J C, which is solved first in
+the eigen-coordinates of A, in O(n^3) (the idea of Bartels and Stewart, CACM
+15(9), 1972).  That solution is kept only when it passes the residual gate of
+the three similarity equations; otherwise, as for a spectrum with
+l_i + l_j = 0 such as the reference model's, a Kronecker least-squares solve
+of those equations, O(n^6), takes its place and must pass the same gate.
 """
 
 from dataclasses import dataclass, field
@@ -275,13 +281,24 @@ def _vec(mat: np.ndarray) -> np.ndarray:
     return mat.reshape(-1, order="F")
 
 
-def _f_equation_residuals(ss: StateSpace, f: np.ndarray) -> dict:
+def _lyapunov_f(a: np.ndarray, q: np.ndarray):
+    """Solve A^T F + F A = Q in the eigen-coordinates of A.
+
+    With A = V L V^{-1}, Y = V^T Q V / (l_i + l_j) and F = V^{-T} Y V^{-1}.
+    Returns None when the result is not finite, as when some l_i + l_j is
+    zero; raises LinAlgError when the eigenvector basis is singular.
+    """
+    lam, v = np.linalg.eig(a)
+    w = np.linalg.inv(v)
+    with np.errstate(all="ignore"):
+        y = (v.T @ q @ v) / (lam[:, None] + lam[None, :])
+        f_raw = (w.T @ y @ w).real
+    return f_raw if np.isfinite(f_raw).all() else None
+
+
+def _f_equation_residuals(ss: StateSpace, j, b_dinv, dinv_c, a_inv,
+                          f: np.ndarray, f_inv: np.ndarray) -> dict:
     """Relative residuals of the three similarity equations plus diagnostics."""
-    d_inv = np.linalg.inv(ss.D)
-    b_dinv = ss.B @ d_inv
-    dinv_c = d_inv @ ss.C
-    a_inv = ss.A - b_dinv @ ss.C
-    j = j_matrix(ss.num_outputs)
 
     def rel(x, scale):
         return float(np.linalg.norm(x) / max(1.0, scale))
@@ -297,7 +314,7 @@ def _f_equation_residuals(ss: StateSpace, f: np.ndarray) -> dict:
             np.linalg.norm(ss.C) ** 2 + np.linalg.norm(ss.A) * max(1.0, np.linalg.norm(f)),
         ),
         "state_ccr_identity": rel(
-            ss.A @ np.linalg.inv(f) + np.linalg.inv(f) @ ss.A.T + ss.B @ j @ ss.B.T,
+            ss.A @ f_inv + f_inv @ ss.A.T + ss.B @ j @ ss.B.T,
             np.linalg.norm(ss.B) ** 2 + 1.0,
         ),
     }
@@ -305,15 +322,23 @@ def _f_equation_residuals(ss: StateSpace, f: np.ndarray) -> dict:
 
 
 def _solve_f(ss: StateSpace, tol: float = 1e-8):
-    """Least-squares solve of the stacked similarity equations for F.
+    """Solve the similarity equations for the skew certificate F.
 
-    Returns (raw solution, antisymmetrized F, diagnostics).  The three
-    equations are linear in F:
+    Returns (F, F^{-1}, diagnostics).  The three equations are linear in F:
 
         J B^T F = -D^{-1} C,   F B D^{-1} = C^T J,   A^T F + F (A - B D^{-1} C) = 0.
 
-    For a minimal realizable system the joint solution is unique and skew;
-    the raw asymmetry is recorded before it is removed.
+    Substituting the second into the third gives the Lyapunov equation
+    A^T F + F A = C^T J C, whose solution is unique when l_i + l_j != 0 for
+    all poles l; any F solving the three equations is then that solution.
+    It is solved first in the eigen-coordinates of A, in O(n^3).  The result
+    is accepted only through the gate below: finite, a numerically
+    nonsingular skew part, and all three residuals within ``tol``.  Otherwise
+    (a spectrum with l_i + l_j = 0, a defective or ill-conditioned
+    eigenvector basis, an unrealizable system) the stacked Kronecker form of
+    the three equations is solved by least squares, O(n^6), and its result
+    must pass the same gate.  The raw asymmetry of the solution is recorded
+    before it is removed.
     """
     n2 = ss.state_dim
     if n2 == 0:
@@ -324,6 +349,38 @@ def _solve_f(ss: StateSpace, tol: float = 1e-8):
     dinv_c = d_inv @ ss.C
     a_inv = ss.A - b_dinv @ ss.C
     j = j_matrix(channels)
+
+    def gate(f_raw):
+        """(F, F^{-1}, diagnostics) of an accepted solution; raises otherwise."""
+        asym = float(np.linalg.norm(f_raw + f_raw.T) / max(1.0, np.linalg.norm(f_raw)))
+        f = 0.5 * (f_raw - f_raw.T)
+        sv = np.linalg.svd(f, compute_uv=False)
+        if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
+            raise SingularMatrixError(
+                "similarity matrix F is singular; system is not a realizable "
+                "minimal candidate"
+            )
+        f_inv = np.linalg.inv(f)
+        diagnostics = _f_equation_residuals(ss, j, b_dinv, dinv_c, a_inv, f, f_inv)
+        diagnostics["f_raw_asymmetry"] = asym
+        worst = max(
+            diagnostics[k]
+            for k in ("f_eq_output_coupling", "f_eq_input_coupling", "f_eq_state_similarity")
+        )
+        if worst > tol:
+            raise NotRealizableError(
+                f"no skew similarity solves the realizability equations "
+                f"(worst residual {worst:.3e}); the system is not realizable or "
+                "not minimal"
+            )
+        return f, f_inv, diagnostics
+
+    try:
+        f_raw = _lyapunov_f(ss.A, ss.C.T @ j @ ss.C)
+        if f_raw is not None:
+            return gate(f_raw)
+    except (np.linalg.LinAlgError, SingularMatrixError, NotRealizableError):
+        pass
     eye = np.eye(n2)
     rows = [
         np.kron(eye, j @ ss.B.T),
@@ -338,28 +395,7 @@ def _solve_f(ss: StateSpace, tol: float = 1e-8):
     system = np.vstack(rows)
     target = np.concatenate(rhs)
     solution, *_ = np.linalg.lstsq(system, target, rcond=None)
-    f_raw = solution.reshape((n2, n2), order="F")
-    asym = float(np.linalg.norm(f_raw + f_raw.T) / max(1.0, np.linalg.norm(f_raw)))
-    f = 0.5 * (f_raw - f_raw.T)
-    sv = np.linalg.svd(f, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
-        raise SingularMatrixError(
-            "similarity matrix F is singular; system is not a realizable "
-            "minimal candidate"
-        )
-    diagnostics = _f_equation_residuals(ss, f)
-    diagnostics["f_raw_asymmetry"] = asym
-    worst = max(
-        diagnostics[k]
-        for k in ("f_eq_output_coupling", "f_eq_input_coupling", "f_eq_state_similarity")
-    )
-    if worst > tol:
-        raise NotRealizableError(
-            f"no skew similarity solves the realizability equations "
-            f"(worst residual {worst:.3e}); the system is not realizable or "
-            "not minimal"
-        )
-    return f_raw, f, diagnostics
+    return gate(solution.reshape((n2, n2), order="F"))
 
 
 def compute_f(ss: StateSpace, tol: float = 1e-8) -> np.ndarray:
@@ -369,7 +405,7 @@ def compute_f(ss: StateSpace, tol: float = 1e-8) -> np.ndarray:
     equations admit no solution within ``tol``, SingularMatrixError when the
     solution is numerically singular.
     """
-    _, f, _ = _solve_f(ss, tol)
+    f, _, _ = _solve_f(ss, tol)
     return f
 
 
@@ -431,8 +467,7 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = 1e-8,
             reduced_from=reduced_from,
         )
 
-    _, f, diagnostics = _solve_f(work, tol)
-    f_inv = np.linalg.inv(f)
+    f, f_inv, diagnostics = _solve_f(work, tol)
     j = j_matrix(channels)
     rhat_raw = 0.5 * f @ (work.A @ f_inv + 0.5 * work.B @ j @ work.B.T) @ f
     rhat_sym = float(

@@ -147,6 +147,16 @@ def test_synthesize_rejects_unrealizable(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "not-PR"
 
 
+def test_numerical_failure_is_inconclusive(system_file, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    code, _, err = run(capsys, "check", "--input", system_file)
+    assert code == 3
+    assert "numerical failure: Eigenvalues did not converge" in err
+
+
 def test_convert_roundtrip_files_are_identical(tmp_path, capsys):
     pm_path = write(tmp_path, "pm.json", jsonio.encode_pm_params(example_pm_params()))
     ac_path = tmp_path / "ac.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +173,73 @@ def test_compute_f_inverts_commutation_matrix_on_built_systems(seed, n, m):
     )
 
 
+def kronecker_f(ss):
+    """Reference F: least squares on the stacked Kronecker form of the three
+    similarity equations, as in the fallback of ``_solve_f``."""
+    n2 = ss.state_dim
+    d_inv = np.linalg.inv(ss.D)
+    b_dinv = ss.B @ d_inv
+    a_inv = ss.A - b_dinv @ ss.C
+    j = j_matrix(ss.num_outputs)
+    eye = np.eye(n2)
+    system = np.vstack([
+        np.kron(eye, j @ ss.B.T),
+        np.kron(b_dinv.T, eye),
+        np.kron(eye, ss.A.T) + np.kron(a_inv.T, eye),
+    ])
+    target = np.concatenate([
+        (-d_inv @ ss.C).reshape(-1, order="F"),
+        (ss.C.T @ j).reshape(-1, order="F"),
+        np.zeros(n2 * n2),
+    ])
+    solution, *_ = np.linalg.lstsq(system, target, rcond=None)
+    f_raw = solution.reshape((n2, n2), order="F")
+    return 0.5 * (f_raw - f_raw.T)
+
+
+def refuse_fallback(*args, **kwargs):
+    raise AssertionError("the Kronecker least-squares fallback ran")
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("modes", range(1, 9))
+def test_compute_f_matches_kronecker_reference(modes, channels, monkeypatch):
+    """The eigen-coordinate solve is taken on random systems and agrees with
+    the Kronecker least squares."""
+    for seed in range(3):
+        _, ss = built_system(1000 * modes + 10 * channels + seed, modes, channels)
+        ref = kronecker_f(ss)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "lstsq", refuse_fallback)
+            f = compute_f(ss)
+        assert np.linalg.norm(f - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_compute_f_falls_back_on_degenerate_spectrum():
+    """Poles {0, -1, 1, -1} give l_i + l_j = 0: the eigen-coordinate solve
+    gives no finite candidate, the fallback gives F = J C, and no warning
+    escapes."""
+    ss = example_state_space()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = realizability._lyapunov_f(ss.A, ss.C.T @ j_matrix(4) @ ss.C)
+        f = compute_f(ss)
+    assert fast is None
+    assert np.linalg.norm(f - j_matrix(4) @ ss.C) < 1e-10
+    assert np.linalg.norm(f - kronecker_f(ss)) < 1e-12
+
+
+def test_compute_f_falls_back_when_eigendecomposition_fails(monkeypatch):
+    _, ss = built_system(5, 3, 2)
+    ref = kronecker_f(ss)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced for the test")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    assert np.linalg.norm(compute_f(ss) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 def test_compute_f_rejects_static_and_unrealizable():
     with pytest.raises(ValueError):
         compute_f(StateSpace.static(np.eye(2)))
@@ -270,6 +339,24 @@ def test_synthesize_keeps_minimal_systems_at_scale(modes, channels):
         result = synthesize(ss)
         assert result.reduced_from is None
         assert result.equation_residuals["rebuild_max_relative_deviation"] < 1e-7
+
+
+@pytest.mark.parametrize("modes, channels", [(32, 1), (32, 2), (128, 1)])
+def test_synthesize_at_64_and_256_states(modes, channels, monkeypatch):
+    """The eigen-coordinate F solve carries these sizes.  The Kronecker form
+    would need n^4 doubles (34 GB at 256 states), so building it is refused."""
+    kron = np.kron
+
+    def small_kron(a, b):
+        if np.size(a) * np.size(b) > 10**6:
+            refuse_fallback()
+        return kron(a, b)
+
+    monkeypatch.setattr(np, "kron", small_kron)
+    _, ss = built_system(7 * modes + channels, modes, channels)
+    result = synthesize(ss)
+    assert result.reduced_from is None
+    assert result.equation_residuals["rebuild_max_relative_deviation"] < 1e-7
 
 
 def test_zero_pole_mirror_on_reference_model():

@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Golden run of the oqho command line over a seeded corpus.
+
+Writes a corpus of 1-3-mode systems under ``OUT/inputs``: realizable (PR)
+systems, copies with a symmetric drift on A (not PR), and copies padded with
+two hidden states (not minimal), plus their parameter sets in both forms and
+random commutation matrices.  It then runs ``oqho.cli.main`` in-process for
+``check`` (frequency and ``--theta``), ``spectrum``, ``synthesize``,
+``convert`` in both directions, ``factor`` and ``example``, and records every
+output file under ``OUT/outputs`` and every exit code, stdout and stderr under
+``OUT/calls``.
+
+Two trees behave byte-identically on the corpus when
+
+    python3 scripts/cli_golden.py --seed 1 --out /tmp/golden-a
+    (in the other checkout, with this script copied in)
+    python3 scripts/cli_golden.py --seed 1 --out /tmp/golden-b
+    diff -r /tmp/golden-a /tmp/golden-b
+
+prints nothing.  Every path handed to the CLI is relative to OUT, so its
+messages do not depend on where OUT is.
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from oqho import cli, jsonio
+from oqho.forms import build_pm_realization, pm_to_ac
+from oqho.sampling import (
+    random_orthogonal,
+    random_pm_params,
+    random_skew_nonsingular,
+)
+from oqho.statespace import StateSpace, similarity_transform
+
+MODES = (1, 2, 3)
+CHANNELS = (1, 2, 3)
+DRAWS = 2
+# Size of the symmetric drift on A that turns a PR system into a not-PR one.
+DRIFT = 0.3
+
+
+def drifted(ss, rng):
+    bump = rng.standard_normal(ss.A.shape)
+    return StateSpace(ss.A + DRIFT * (bump + bump.T), ss.B, ss.C, ss.D)
+
+
+def padded(ss, rng):
+    """``ss`` plus two uncontrollable states, mixed by a random orthogonal similarity."""
+    n, p, q = ss.state_dim, ss.num_inputs, ss.num_outputs
+    a = np.zeros((n + 2, n + 2))
+    a[:n, :n] = ss.A
+    a[n:, n:] = [[-1.0, 2.0], [-2.0, -1.0]]
+    a[:n, n:] = rng.standard_normal((n, 2))
+    b = np.vstack([ss.B, np.zeros((2, p))])
+    c = np.hstack([ss.C, rng.standard_normal((q, 2))])
+    return similarity_transform(StateSpace(a, b, c, ss.D), random_orthogonal(n + 2, rng))
+
+
+def write(path: Path, payload) -> str:
+    path.write_text(jsonio.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def build_corpus(seed: int) -> list:
+    """Write the inputs under ``inputs/``; return the CLI calls as (name, argv).
+
+    Each call writes its report to ``outputs/<name>.json``.
+    """
+    rng = np.random.default_rng(seed)
+    inputs = Path("inputs")
+    inputs.mkdir()
+    calls = [("example", ["example"])]
+    for modes in MODES:
+        for channels in CHANNELS:
+            for draw in range(DRAWS):
+                tag = f"m{modes}c{channels}d{draw}"
+                params = random_pm_params(modes, channels, rng)
+                pr = build_pm_realization(params)
+                theta = write(inputs / f"{tag}_theta.json",
+                              jsonio.encode_real_matrix(
+                                  random_skew_nonsingular(2 * modes, rng)))
+                pm = write(inputs / f"{tag}_pm.json", jsonio.encode_pm_params(params))
+                ac = write(inputs / f"{tag}_ac.json",
+                           jsonio.encode_ac_params(pm_to_ac(params)))
+                calls += [
+                    (f"{tag}_pm2ac", ["convert", "--direction", "pm2ac", "--input", pm]),
+                    (f"{tag}_ac2pm", ["convert", "--direction", "ac2pm", "--input", ac]),
+                    (f"{tag}_factor", ["factor", "--input", theta]),
+                ]
+                systems = {"pr": pr, "drifted": drifted(pr, rng), "padded": padded(pr, rng)}
+                for kind, ss in systems.items():
+                    name = f"{tag}_{kind}"
+                    path = write(inputs / f"{name}.json", jsonio.encode_state_space(ss))
+                    sample_seed = str(int(rng.integers(2**31)))
+                    calls += [
+                        (f"{name}_check", ["check", "--input", path,
+                                           "--seed", sample_seed]),
+                        (f"{name}_check_theta", ["check", "--input", path,
+                                                 "--theta", "J"]),
+                        (f"{name}_spectrum", ["spectrum", "--input", path]),
+                        (f"{name}_synthesize", ["synthesize", "--input", path,
+                                                "--seed", sample_seed]),
+                    ]
+                    if kind == "pr":
+                        calls.append((f"{name}_synthesize_theta",
+                                      ["synthesize", "--input", path, "--theta", theta]))
+    return calls
+
+
+def run(name: str, argv: list) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--output", f"outputs/{name}.json"])
+    Path("calls", f"{name}.txt").write_text(
+        f"argv: {' '.join(argv)}\nexit: {code}\n"
+        f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}",
+        encoding="utf-8",
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=1, help="corpus seed (default 1)")
+    parser.add_argument("--out", required=True, metavar="DIR",
+                        help="new or empty directory for the corpus and the records")
+    args = parser.parse_args(argv)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        parser.error(f"{out} is not empty")
+    os.chdir(out)
+    Path("outputs").mkdir()
+    Path("calls").mkdir()
+    calls = build_corpus(args.seed)
+    for name, call in calls:
+        run(name, call)
+    print(f"{len(calls)} calls recorded under {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

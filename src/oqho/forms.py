@@ -326,7 +326,8 @@ def build_ac_realization(params: AcParams, tol=None) -> ComplexStateSpace:
 
 def eval_ac_tf(css: ComplexStateSpace, s: complex) -> np.ndarray:
     """Evaluate L (sI - F)^{-1} G + K by the evaluator and near-pole guard of eval_tf."""
-    return _evaluate_quadruple(css.F, css.G, css.L, css.K, [s])[0]
+    lam = np.linalg.eigvals(css.F)
+    return _evaluate_quadruple(css.F, css.G, css.L, css.K, [s], lam)[0]
 
 
 def eval_conjugate_ac_tf(css: ComplexStateSpace, s: complex) -> np.ndarray:

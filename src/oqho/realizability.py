@@ -44,7 +44,7 @@ from .forms import PmParams, build_pm_realization
 from .skewfactor import relate_ccr
 from .statespace import (
     StateSpace,
-    evaluate,
+    _evaluate_quadruple,
     inverse_realization,
     is_minimal,
     minimal_realization,
@@ -124,6 +124,19 @@ class SynthesisResult:
     reduced_from: int | None = None
 
 
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each matrix of a C-contiguous complex stack, bit for bit.
+
+    np.linalg.norm adds two strided dot products, of the real parts and of the
+    imaginary parts; a (1, m) @ (m, 1) matmul per matrix makes the same calls.
+    """
+    k, size = stack.shape[0], stack.shape[1] * stack.shape[2]
+    re = stack.real.reshape(k, 1, size)
+    im = stack.imag.reshape(k, 1, size)
+    sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+    return np.sqrt(sq.reshape(k))
+
+
 def draw_sample_points(avoid, num_points: int, seed: int = 42,
                        exclusion: float = SAMPLE_EXCLUSION) -> list:
     """Pseudo-random complex evaluation points avoiding the given spectrum.
@@ -140,17 +153,29 @@ def draw_sample_points(avoid, num_points: int, seed: int = 42,
     attempts = 0
     max_attempts = 200 * max(num_points, 1)
     while len(points) < num_points and attempts < max_attempts:
-        attempts += 1
-        radius = 10.0 ** rng.uniform(lo, hi)
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        s = radius * np.exp(1j * angle)
-        if len(points) % 2 == 0:
-            s = complex(abs(s.real), s.imag)
-        else:
-            s = complex(-abs(s.real), s.imag)
-        if avoid.size and np.min(np.abs(avoid - s)) < exclusion:
-            continue
-        points.append(s)
+        # Candidates come in batches, at least as large as the attempts made
+        # so far; each takes the two doubles that uniform(lo, hi) and
+        # uniform(0, 2 pi) would, in the same order.
+        batch = min(max(num_points - len(points), attempts), max_attempts - attempts)
+        attempts += batch
+        u = rng.random((batch, 2))
+        # scalar pow: np.power differs from it in the last bit on some draws
+        radius = np.array([10.0 ** x for x in (lo + (hi - lo) * u[:, 0]).tolist()])
+        s = radius * np.exp(1j * (2.0 * np.pi * u[:, 1]))
+        # both half-plane variants of each candidate: right in column 0, left in 1
+        cand = np.empty((batch, 2), dtype=complex)
+        cand.real = np.abs(s.real)[:, None] * [1.0, -1.0]
+        cand.imag = s.imag[:, None]
+        clear = ~(np.abs(cand[:, :, None] - avoid) < exclusion).any(axis=2)
+        side, rows, sides = len(points) % 2, [], []
+        for i, ok in enumerate(clear.tolist()):
+            if ok[side]:
+                rows.append(i)
+                sides.append(side)
+                side = 1 - side
+                if len(points) + len(rows) == num_points:
+                    break
+        points += cand[rows, sides].tolist()
     if len(points) < num_points:
         raise SamplePlacementError(
             f"placed only {len(points)} of {num_points} sample points away from "
@@ -167,13 +192,14 @@ def check_jj_unitary(ss: StateSpace, num_samples: int = 20, tol: float = 1e-8,
     lam = poles(ss)
     avoid = np.concatenate([lam, -lam.conj()]) if lam.size else lam
     pts = draw_sample_points(avoid, num_samples, seed)
-    g_stack = evaluate(ss, pts)
-    g_conj_stack = evaluate(ss, -np.conj(pts)).conj().transpose(0, 2, 1)
-    max_resid = 0.0
-    for g, g_conj in zip(g_stack, g_conj_stack):
-        r1 = np.linalg.norm(g_conj @ j @ g - j)
-        r2 = np.linalg.norm(g @ j @ g_conj - j)
-        max_resid = max(max_resid, float(r1), float(r2))
+    # SAMPLE_EXCLUSION > RESOLVENT_GUARD * (1 + |s|): no point trips the G or G~ guard
+    g = _evaluate_quadruple(ss.A, ss.B, ss.C, ss.D, pts, lam)
+    g_conj = _evaluate_quadruple(ss.A, ss.B, ss.C, ss.D, -np.conj(pts), lam)
+    g_conj = g_conj.conj().transpose(0, 2, 1)
+    defects = np.concatenate(
+        [_frobenius_norms(g_conj @ j @ g - j), _frobenius_norms(g @ j @ g_conj - j)]
+    )
+    max_resid = max([0.0, *defects.tolist()])
     return JjUnitarityResult(max_resid <= tol, max_resid, pts)
 
 
@@ -486,14 +512,14 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = 1e-8,
     params = PmParams(work.D.copy(), m_mat, r_mat, theta_target)
 
     rebuilt = build_pm_realization(params)
-    avoid = np.concatenate([poles(work), poles(rebuilt)])
+    lam_work, lam_rebuilt = poles(work), poles(rebuilt)
+    avoid = np.concatenate([lam_work, lam_rebuilt])
     avoid = np.concatenate([avoid, -avoid.conj()])
     pts = draw_sample_points(avoid, num_samples, seed)
-    max_dev = 0.0
-    for ref, got in zip(evaluate(work, pts), evaluate(rebuilt, pts)):
-        max_dev = max(
-            max_dev, float(np.linalg.norm(got - ref) / max(1.0, np.linalg.norm(ref)))
-        )
+    ref = _evaluate_quadruple(work.A, work.B, work.C, work.D, pts, lam_work)
+    got = _evaluate_quadruple(rebuilt.A, rebuilt.B, rebuilt.C, rebuilt.D, pts, lam_rebuilt)
+    devs = _frobenius_norms(got - ref) / np.fmax(1.0, _frobenius_norms(ref))
+    max_dev = max([0.0, *devs.tolist()])
     residuals = dict(diagnostics)
     residuals["rhat_symmetry"] = rhat_sym
     residuals["ccr_factorization"] = fact_resid

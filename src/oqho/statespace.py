@@ -6,10 +6,10 @@ controllability staircase, inverse realizations, and pole/zero spectrum
 reports.
 
 Every transfer-matrix value in the package, real or complex, G or G~, comes
-from one stacked evaluator: a single eigendecomposition of the state matrix
-guards all requested points against nearby poles, and a single stacked linear
-solve gives every resolvent.  The conjugate system G~(s) is the adjoint of G
-at -conj(s).
+from one stacked evaluator: the spectrum of the state matrix, which the caller
+already holds, guards all requested points against nearby poles, and a single
+stacked linear solve gives every resolvent.  The conjugate system G~(s) is the
+adjoint of G at -conj(s), so one spectrum guards both.
 """
 
 from dataclasses import dataclass
@@ -185,19 +185,19 @@ def poles(ss: StateSpace) -> np.ndarray:
     return np.linalg.eigvals(ss.A)
 
 
-def _evaluate_quadruple(a, b, c, d, points) -> np.ndarray:
+def _evaluate_quadruple(a, b, c, d, points, lam) -> np.ndarray:
     """Stack of c (sI - a)^{-1} b + d over ``points``, shape (k, outputs, inputs).
 
-    Raises NearPoleError naming the first point that falls within
-    RESOLVENT_GUARD * (1 + |s|) of an eigenvalue of ``a``, since the resolvent
-    solve is meaningless there.  Real and complex quadruples are both accepted.
+    ``lam`` holds the eigenvalues of ``a``.  Raises NearPoleError naming the
+    first point that falls within RESOLVENT_GUARD * (1 + |s|) of one of them,
+    since the resolvent solve is meaningless there.  Real and complex
+    quadruples are both accepted.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1)
     k, n = pts.size, a.shape[0]
     d = d.astype(complex)
     if k == 0 or n == 0:
         return np.repeat(d[None], k, axis=0)
-    lam = np.linalg.eigvals(a)
     dist = np.abs(lam[None, :] - pts[:, None])
     nearest = np.argmin(dist, axis=1)
     near = dist[np.arange(k), nearest] < RESOLVENT_GUARD * (1.0 + np.abs(pts))
@@ -215,13 +215,15 @@ def _evaluate_quadruple(a, b, c, d, points) -> np.ndarray:
 def evaluate(ss: StateSpace, points) -> np.ndarray:
     """Transfer matrices C (sI - A)^{-1} B + D at every point, stacked (k, q, p).
 
-    All k resolvents are solved in one stack, so peak memory grows as
-    O(k n^2) in the number of points k for n states.
+    The poles of ``ss``, computed here once, guard every point; callers that
+    already hold them pass them to the private evaluator instead.  All k
+    resolvents are solved in one stack, so peak memory grows as O(k n^2) in
+    the number of points k for n states.
 
     The conjugate system G~ at the same points is
     ``evaluate(ss, -np.conj(points)).conj().transpose(0, 2, 1)``.
     """
-    return _evaluate_quadruple(ss.A, ss.B, ss.C, ss.D, points)
+    return _evaluate_quadruple(ss.A, ss.B, ss.C, ss.D, points, poles(ss))
 
 
 def eval_tf(ss: StateSpace, s: complex) -> np.ndarray:
@@ -323,14 +325,13 @@ def match_multisets(left, right, tol: float = 1e-6):
     diff = left[:, None] - right[None, :]
     # hypot rounds exactly as the scalar abs(); np.abs on complex arrays may not
     dists = np.hypot(diff.real, diff.imag)
-    free = np.ones(right.size, dtype=bool)
     max_dist = 0.0
     for row in dists:
-        k = np.flatnonzero(free)[np.argmin(row[free])]
+        k = np.argmin(row)
         max_dist = max(max_dist, row[k])
         if row[k] > tol:
             return False, max_dist
-        free[k] = False
+        dists[:, k] = np.inf
     return True, max_dist
 
 

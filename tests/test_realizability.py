@@ -23,7 +23,15 @@ from oqho.realizability import (
     synthesize,
 )
 from oqho.sampling import random_pm_params, random_skew_nonsingular
-from oqho.statespace import StateSpace, eval_tf, is_minimal, poles
+from oqho.statespace import (
+    RESOLVENT_GUARD,
+    StateSpace,
+    eval_conjugate_tf,
+    eval_tf,
+    is_minimal,
+    poles,
+    spectrum_report,
+)
 from oqho.structured import j_matrix, skew_symmetry_residual
 from oqho.worked_example import example_pm_params, example_state_space
 
@@ -57,6 +65,182 @@ class TestSamplePoints:
     def test_placement_failure(self):
         with pytest.raises(SamplePlacementError):
             draw_sample_points([0.0], 5, seed=3, exclusion=1e6)
+
+
+def loop_draw_sample_points(avoid, num_points, seed=42,
+                            exclusion=realizability.SAMPLE_EXCLUSION):
+    """draw_sample_points one candidate per loop pass: the reference for its batches."""
+    avoid = np.asarray(avoid, dtype=complex).ravel()
+    rng = np.random.default_rng(seed)
+    lo, hi = np.log10(realizability.SAMPLE_MAGNITUDE_RANGE[0]), np.log10(
+        realizability.SAMPLE_MAGNITUDE_RANGE[1])
+    points = []
+    attempts = 0
+    max_attempts = 200 * max(num_points, 1)
+    while len(points) < num_points and attempts < max_attempts:
+        attempts += 1
+        radius = 10.0 ** rng.uniform(lo, hi)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        s = radius * np.exp(1j * angle)
+        if len(points) % 2 == 0:
+            s = complex(abs(s.real), s.imag)
+        else:
+            s = complex(-abs(s.real), s.imag)
+        if avoid.size and np.min(np.abs(avoid - s)) < exclusion:
+            continue
+        points.append(s)
+    if len(points) < num_points:
+        raise SamplePlacementError(
+            f"placed only {len(points)} of {num_points} sample points away from "
+            "the spectrum"
+        )
+    return points
+
+
+def random_placement_case(rng):
+    """(kind, avoid, num_points, seed, exclusion) for the loop-reference comparison.
+
+    Kinds: an empty spectrum; a spectrum at the default exclusion; exclusions
+    of 0.1-30 that reject many candidates; an exclusion of 1e3, which rejects
+    every candidate, so placement stops at the attempt cap; and a disc about 0
+    that leaves about 1 candidate in 200, so the cap falls between placements.
+    """
+    kind = ("empty", "default", "heavy", "cap", "rare")[rng.integers(5)]
+    num_points = int(rng.integers(0, 5 if kind in ("cap", "rare") else 26))
+    seed = int(rng.integers(2**31))
+    size = int(rng.integers(1, 40))
+    avoid = 10.0 ** rng.uniform(-2.5, 2.5, size) * np.exp(
+        1j * rng.uniform(0.0, 2.0 * np.pi, size))
+    exclusion = {
+        "empty": realizability.SAMPLE_EXCLUSION,
+        "default": realizability.SAMPLE_EXCLUSION,
+        "heavy": 10.0 ** rng.uniform(-1.0, 1.5),
+        "cap": 1e3,
+        # candidates with |s| >= exclusion pass: 0.25-0.75% of the log-uniform radii
+        "rare": 10.0 ** rng.uniform(1.97, 1.99),
+    }[kind]
+    if kind == "empty":
+        avoid = avoid[:0]
+    elif kind == "rare":
+        avoid = np.zeros(1, dtype=complex)
+    return kind, avoid, num_points, seed, exclusion
+
+
+def placement_outcome(draw, *args):
+    """Bit patterns of the placed points, or the placement error message."""
+    try:
+        pts = draw(*args)
+    except SamplePlacementError as exc:
+        return "error", str(exc)
+    assert all(type(s) is complex for s in pts)
+    return "points", np.array(pts, dtype=complex).tobytes()
+
+
+def test_sample_points_match_loop_reference_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    seen = {"errors": 0, "partial": 0, "no_points": 0, "empty": 0, "heavy_placed": 0}
+    for _ in range(1200):
+        kind, *args = random_placement_case(rng)
+        got = placement_outcome(draw_sample_points, *args)
+        assert got == placement_outcome(loop_draw_sample_points, *args), (kind, args)
+        seen["errors"] += got[0] == "error"
+        seen["partial"] += got[0] == "error" and not got[1].startswith("placed only 0 ")
+        seen["no_points"] += args[1] == 0
+        seen["empty"] += kind == "empty"
+        seen["heavy_placed"] += kind == "heavy" and got[0] == "points" and args[1] > 0
+    assert min(seen.values()) >= 30, seen
+
+
+def test_sample_exclusion_clears_the_resolvent_guard():
+    # A point of magnitude at most SAMPLE_MAGNITUDE_RANGE[1] that keeps
+    # SAMPLE_EXCLUSION away from l and -conj(l) is outside the guard of G and G~.
+    assert realizability.SAMPLE_EXCLUSION > RESOLVENT_GUARD * (
+        1.0 + realizability.SAMPLE_MAGNITUDE_RANGE[1])
+
+
+def drifted_system(ss, rng):
+    bump = rng.standard_normal(ss.A.shape)
+    return StateSpace(ss.A + 0.3 * (bump + bump.T), ss.B, ss.C, ss.D)
+
+
+def loop_jj_residual(ss, num_samples=20, seed=42):
+    """check_jj_unitary's sample points and defect, one point at a time."""
+    j = j_matrix(ss.num_outputs)
+    lam = poles(ss)
+    avoid = np.concatenate([lam, -lam.conj()]) if lam.size else lam
+    pts = loop_draw_sample_points(avoid, num_samples, seed)
+    max_resid = 0.0
+    for s in pts:
+        g, g_conj = eval_tf(ss, s), eval_conjugate_tf(ss, s)
+        r1 = np.linalg.norm(g_conj @ j @ g - j)
+        r2 = np.linalg.norm(g @ j @ g_conj - j)
+        max_resid = max(max_resid, float(r1), float(r2))
+    return max_resid, pts
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 5, 8, 13, 21, 32])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_jj_residual_matches_loop_reference_exactly(modes, channels):
+    rng = np.random.default_rng(500 + 10 * modes + channels)
+    ss = build_pm_realization(random_pm_params(modes, channels, rng))
+    for system in (ss, drifted_system(ss, rng)):
+        seed = int(rng.integers(2**31))
+        result = check_jj_unitary(system, seed=seed)
+        want, pts = loop_jj_residual(system, seed=seed)
+        assert result.max_residual == want
+        assert result.sample_points == pts
+
+
+@pytest.mark.parametrize("modes", [1, 3, 8, 16])
+def test_rebuild_deviation_matches_loop_reference_exactly(modes):
+    rng = np.random.default_rng(700 + modes)
+    ss = build_pm_realization(random_pm_params(modes, 1 + modes % 3, rng))
+    seed = int(rng.integers(2**31))
+    result = synthesize(ss, seed=seed)
+    rebuilt = build_pm_realization(result.params)
+    lam = np.concatenate([poles(ss), poles(rebuilt)])
+    pts = loop_draw_sample_points(np.concatenate([lam, -lam.conj()]), 20, seed)
+    want = 0.0
+    for s in pts:
+        ref, got = eval_tf(ss, s), eval_tf(rebuilt, s)
+        want = max(want, float(np.linalg.norm(got - ref) / max(1.0, np.linalg.norm(ref))))
+    assert result.equation_residuals["rebuild_max_relative_deviation"] == want
+
+
+@pytest.fixture
+def count_eigendecompositions(monkeypatch):
+    """count(call): how many np.linalg.eigvals and np.linalg.eig calls ``call()`` makes."""
+    calls = []
+    for name in ("eigvals", "eig"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(None)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def count(call):
+        calls.clear()
+        call()
+        return len(calls)
+
+    return count
+
+
+def test_eigendecompositions_per_call(count_eigendecompositions):
+    rng = np.random.default_rng(64)
+    big = build_pm_realization(random_pm_params(32, 1, rng))
+    small = build_pm_realization(random_pm_params(3, 2, rng))
+    # one spectrum of A serves sample placement and the guards of G and G~
+    assert count_eigendecompositions(lambda: check_pr_frequency(big)) == 1
+    # poles and the poles of the inverse realization (the zeros)
+    assert count_eigendecompositions(lambda: spectrum_report(big)) == 2
+    # frequency check 1, F solve 1, rebuild placement and guards 2
+    assert count_eigendecompositions(lambda: synthesize(small)) == 4
+    static = StateSpace.static(j_matrix(2))
+    for call in (check_pr_frequency, spectrum_report, synthesize):
+        assert count_eigendecompositions(lambda: call(static)) == 0
 
 
 def test_check_jj_unitary_on_reference_model():

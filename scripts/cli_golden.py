@@ -4,7 +4,10 @@
 Writes a corpus of 1-3-mode systems under ``OUT/inputs``: realizable (PR)
 systems, copies with a symmetric drift on A (not PR), and copies padded with
 two hidden states (not minimal), plus their parameter sets in both forms and
-random commutation matrices.  It then runs ``oqho.cli.main`` in-process for
+random commutation matrices.  Two PR systems have spectra that a plain
+eigen-coordinate F solve cannot take: the reference model plus a random
+block (pole pairs with l_i + l_j = 0) and three single-mode Jordan blocks
+(a defective eigenbasis).  It then runs ``oqho.cli.main`` in-process for
 ``check`` (frequency and ``--theta``), ``spectrum``, ``synthesize``,
 ``convert`` in both directions, ``factor`` and ``example``, and records every
 output file under ``OUT/outputs`` and every exit code, stdout and stderr under
@@ -33,13 +36,16 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from oqho import cli, jsonio
-from oqho.forms import build_pm_realization, pm_to_ac
+from oqho.forms import PmParams, build_pm_realization, pm_to_ac
 from oqho.sampling import (
     random_orthogonal,
     random_pm_params,
     random_skew_nonsingular,
+    random_symplectic,
 )
-from oqho.statespace import StateSpace, similarity_transform
+from oqho.statespace import StateSpace, block_diag, similarity_transform
+from oqho.structured import j_matrix
+from oqho.worked_example import example_state_space
 
 MODES = (1, 2, 3)
 CHANNELS = (1, 2, 3)
@@ -63,6 +69,29 @@ def padded(ss, rng):
     b = np.vstack([ss.B, np.zeros((2, p))])
     c = np.hstack([ss.C, rng.standard_normal((q, 2))])
     return similarity_transform(StateSpace(a, b, c, ss.D), random_orthogonal(n + 2, rng))
+
+
+def direct_sum(blocks):
+    """Direct sum of PR systems, its channels reordered to [q1 q2 .. p1 p2 ..]
+    so that it is PR for the J of the sum."""
+    ss = block_diag(blocks)
+    q, p, offset = [], [], 0
+    for block in blocks:
+        half = block.num_inputs // 2
+        q += range(offset, offset + half)
+        p += range(offset + half, offset + 2 * half)
+        offset += 2 * half
+    order = q + p
+    return StateSpace(ss.A, ss.B[:, order], ss.C[order], ss.D[np.ix_(order, order)])
+
+
+def jordan_modes(rng):
+    """Three single-mode systems, each with A a 2x2 Jordan block at -0.5,
+    mixed by a random symplectic similarity."""
+    modes = [build_pm_realization(PmParams(np.eye(2), 0.5 * np.eye(2),
+                                           np.diag([k, 0.0]), j_matrix(2)))
+             for k in (1.0, 2.0, 3.0)]
+    return similarity_transform(direct_sum(modes), random_symplectic(6, rng))
 
 
 def write(path: Path, payload) -> str:
@@ -113,6 +142,15 @@ def build_corpus(seed: int) -> list:
                     if kind == "pr":
                         calls.append((f"{name}_synthesize_theta",
                                       ["synthesize", "--input", path, "--theta", theta]))
+    example_plus = direct_sum([example_state_space(),
+                               build_pm_realization(random_pm_params(2, 1, rng))])
+    for name, ss in (("example_plus_block", example_plus), ("jordan", jordan_modes(rng))):
+        path = write(inputs / f"{name}.json", jsonio.encode_state_space(ss))
+        calls += [
+            (f"{name}_check", ["check", "--input", path]),
+            (f"{name}_spectrum", ["spectrum", "--input", path]),
+            (f"{name}_synthesize", ["synthesize", "--input", path]),
+        ]
     return calls
 
 

@@ -20,13 +20,13 @@ parameter-level identities against a given commutation matrix Theta:
 Synthesis recovers oscillator parameters from a minimal realizable system: a
 unique skew similarity F links the inverse realization to the adjoint of the
 inverse realization; its inverse is a commutation matrix in disguise, and a
-square-root change of coordinates moves it onto any requested Theta.  F also
-solves the Lyapunov equation A^T F + F A = C^T J C, which is solved first in
-the eigen-coordinates of A, in O(n^3) (the idea of Bartels and Stewart, CACM
-15(9), 1972).  That solution is kept only when it passes the residual gate of
-the three similarity equations; otherwise, as for a spectrum with
-l_i + l_j = 0 such as the reference model's, a Kronecker least-squares solve
-of those equations, O(n^6), takes its place and must pass the same gate.
+square-root change of coordinates moves it onto any requested Theta.  F
+solves A^T F + F A = C^T J C, computed in the eigen-coordinates of A, O(n^3)
+(the idea of Bartels and Stewart, CACM 15(9), 1972).  Pole pairs with
+l_i + l_j = 0, such as the reference model's, are pinned by the coupling
+equation F B D^{-1} = C^T J; a defective eigenbasis is solved once more on
+the same equation under state feedback.  Every candidate must pass the
+residual gate of the three similarity equations.
 """
 
 from dataclasses import dataclass, field
@@ -78,6 +78,10 @@ SAMPLE_MAGNITUDE_RANGE = (1e-2, 1e2)
 SAMPLE_EXCLUSION = 1e-6
 # end-to-end tolerance for the synthesize rebuild verification
 REBUILD_TOLERANCE = 1e-7
+# |l_i + l_j| <= DEGENERATE_PAIR_CUTOFF * max|l| marks a degenerate pole pair of
+# the F solve: dividing by l_i + l_j amplifies rounding by 1/|l_i + l_j|, and
+# above the cutoff that error stays far below the 1e-8 residual gate
+DEGENERATE_PAIR_CUTOFF = 1e-6
 
 
 @dataclass
@@ -303,23 +307,25 @@ def check_pr_time_domain(ss: StateSpace, theta, tol: float = 1e-8) -> PrReport:
     )
 
 
-def _vec(mat: np.ndarray) -> np.ndarray:
-    return mat.reshape(-1, order="F")
+def _lyapunov_f(a: np.ndarray, q: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Solve A^T F + F A = Q with F G = H in the eigen-coordinates of A.
 
-
-def _lyapunov_f(a: np.ndarray, q: np.ndarray):
-    """Solve A^T F + F A = Q in the eigen-coordinates of A.
-
-    With A = V L V^{-1}, Y = V^T Q V / (l_i + l_j) and F = V^{-T} Y V^{-1}.
-    Returns None when the result is not finite, as when some l_i + l_j is
-    zero; raises LinAlgError when the eigenvector basis is singular.
+    With A = V L V^{-1} and Y = V^T F V, (l_i + l_j) Y_ij = (V^T Q V)_ij.  The
+    entries of degenerate pairs are pinned row by row by Y V^{-1} G = V^T H, a
+    least-squares problem with one equation per column of G.  Raises
+    LinAlgError when the eigenvector basis is singular.
     """
     lam, v = np.linalg.eig(a)
     w = np.linalg.inv(v)
-    with np.errstate(all="ignore"):
-        y = (v.T @ q @ v) / (lam[:, None] + lam[None, :])
-        f_raw = (w.T @ y @ w).real
-    return f_raw if np.isfinite(f_raw).all() else None
+    gap = lam[:, None] + lam[None, :]
+    pinned = np.abs(gap) <= DEGENERATE_PAIR_CUTOFF * np.abs(lam).max()
+    y = (v.T @ q @ v) / np.where(pinned, 1.0, gap)
+    if pinned.any():
+        wg, vh = w @ g, v.T @ h
+        for i in np.flatnonzero(pinned.any(axis=1)):
+            k = pinned[i]
+            y[i, k] = np.linalg.lstsq(wg[k].T, vh[i] - y[i, ~k] @ wg[~k], rcond=None)[0]
+    return (w.T @ y @ w).real
 
 
 def _f_equation_residuals(ss: StateSpace, j, b_dinv, dinv_c, a_inv,
@@ -355,19 +361,17 @@ def _solve_f(ss: StateSpace, tol: float = 1e-8):
         J B^T F = -D^{-1} C,   F B D^{-1} = C^T J,   A^T F + F (A - B D^{-1} C) = 0.
 
     Substituting the second into the third gives the Lyapunov equation
-    A^T F + F A = C^T J C, whose solution is unique when l_i + l_j != 0 for
-    all poles l; any F solving the three equations is then that solution.
-    It is solved first in the eigen-coordinates of A, in O(n^3).  The result
-    is accepted only through the gate below: finite, a numerically
-    nonsingular skew part, and all three residuals within ``tol``.  Otherwise
-    (a spectrum with l_i + l_j = 0, a defective or ill-conditioned
-    eigenvector basis, an unrealizable system) the stacked Kronecker form of
-    the three equations is solved by least squares, O(n^6), and its result
-    must pass the same gate.  The raw asymmetry of the solution is recorded
-    before it is removed.
+    A^T F + F A = C^T J C, which _lyapunov_f solves in the eigen-coordinates
+    of A, O(n^3), pinning the entries of degenerate pole pairs by the second
+    equation.  A candidate is accepted only through the gate below: a
+    numerically nonsingular skew part and all three residuals within ``tol``.
+    When the eigenvector basis is singular or the candidate fails the gate (a
+    defective basis, or an unrealizable system), the same solve runs once more
+    on the equivalent equation under state feedback, and that candidate must
+    pass the gate.  The raw asymmetry of the solution is recorded before it
+    is removed.
     """
-    n2 = ss.state_dim
-    if n2 == 0:
+    if ss.state_dim == 0:
         raise ValueError("no dynamics: a static system does not define F")
     channels = ss.require_square_channels()
     d_inv = np.linalg.inv(ss.D)
@@ -401,35 +405,30 @@ def _solve_f(ss: StateSpace, tol: float = 1e-8):
             )
         return f, f_inv, diagnostics
 
+    ctj = ss.C.T @ j
+    q = ctj @ ss.C
     try:
-        f_raw = _lyapunov_f(ss.A, ss.C.T @ j @ ss.C)
-        if f_raw is not None:
-            return gate(f_raw)
+        return gate(_lyapunov_f(ss.A, q, b_dinv, ctj))
     except (np.linalg.LinAlgError, SingularMatrixError, NotRealizableError):
-        pass
-    eye = np.eye(n2)
-    rows = [
-        np.kron(eye, j @ ss.B.T),
-        np.kron(b_dinv.T, eye),
-        np.kron(eye, ss.A.T) + np.kron(a_inv.T, eye),
-    ]
-    rhs = [
-        _vec(-dinv_c),
-        _vec(ss.C.T @ j),
-        np.zeros(n2 * n2),
-    ]
-    system = np.vstack(rows)
-    target = np.concatenate(rhs)
-    solution, *_ = np.linalg.lstsq(system, target, rcond=None)
-    return gate(solution.reshape((n2, n2), order="F"))
+        if not ss.B.any():  # the least-squares solution of the equations is then F = 0
+            raise SingularMatrixError("similarity matrix F is singular: B = 0") from None
+    # Feedback K moves the poles of a controllable pair and so splits a
+    # defective eigenbasis (Wonham, IEEE TAC 12(6), 1967).  As B^T F = J D^{-1} C
+    # and F B = C^T J D, F solves (A + BK)^T F + F (A + BK) = C^T J C
+    # + K^T J D^{-1} C + C^T J D K.  K = -t (I + J) B^T, t = |A| / |B|^2: under
+    # K = -t B^T alone an isotropically coupled mode keeps its Jordan block.
+    k = -np.linalg.norm(ss.A) / np.linalg.norm(ss.B) ** 2 * (np.eye(len(j)) + j) @ ss.B.T
+    q_shift = q + k.T @ j @ dinv_c + ctj @ ss.D @ k
+    return gate(_lyapunov_f(ss.A + ss.B @ k, q_shift, b_dinv, ctj))
 
 
 def compute_f(ss: StateSpace, tol: float = 1e-8) -> np.ndarray:
     """Unique skew similarity certificate of a minimal realizable system.
 
-    Raises ValueError for static systems, NotRealizableError when the stacked
-    equations admit no solution within ``tol``, SingularMatrixError when the
-    solution is numerically singular.
+    Raises ValueError for static systems, NotRealizableError when no solution
+    of the similarity equations holds within ``tol``, SingularMatrixError when
+    the solution is numerically singular, and LinAlgError when an
+    eigendecomposition fails or both eigenvector bases are singular.
     """
     f, _, _ = _solve_f(ss, tol)
     return f

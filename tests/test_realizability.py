@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oqho import realizability
+from oqho import cli, jsonio, realizability
 from oqho.errors import (
     DimensionError,
     NotRealizableError,
@@ -22,14 +22,23 @@ from oqho.realizability import (
     pr_zero_pole_mirror,
     synthesize,
 )
-from oqho.sampling import random_pm_params, random_skew_nonsingular
+from oqho.sampling import (
+    random_orthogonal,
+    random_pm_params,
+    random_skew_nonsingular,
+    random_symplectic,
+)
 from oqho.statespace import (
     RESOLVENT_GUARD,
+    RationalEntry,
     StateSpace,
+    block_diag,
     eval_conjugate_tf,
     eval_tf,
     is_minimal,
     poles,
+    similarity_transform,
+    siso_realization,
     spectrum_report,
 )
 from oqho.structured import j_matrix, skew_symmetry_residual
@@ -41,6 +50,63 @@ seeds = st.integers(0, 10**6)
 def built_system(seed, n=2, m=2):
     params = random_pm_params(n, m, np.random.default_rng(seed))
     return params, build_pm_realization(params)
+
+
+def direct_sum(blocks):
+    """Direct sum of realizable systems, realizable for the J of the sum: the
+    channels are reordered to [q1 q2 .. p1 p2 ..]."""
+    ss = block_diag(blocks)
+    q, p, offset = [], [], 0
+    for block in blocks:
+        half = block.num_inputs // 2
+        q += range(offset, offset + half)
+        p += range(offset + half, offset + 2 * half)
+        offset += 2 * half
+    order = q + p
+    return StateSpace(ss.A, ss.B[:, order], ss.C[order], ss.D[np.ix_(order, order)])
+
+
+def defective_system(rates, rng, mix=random_symplectic):
+    """One single-channel mode per rate c, each with A a 2x2 Jordan block at
+    -2 c^2 (isotropic coupling M = c I, energy diag(k, 0)), mixed by the
+    similarity ``mix(n, rng)``."""
+    modes = [
+        build_pm_realization(PmParams(np.eye(2), c * np.eye(2), np.diag([k, 0.0]), j_matrix(2)))
+        for k, c in enumerate(rates, start=1)
+    ]
+    ss = direct_sum(modes)
+    return similarity_transform(ss, mix(ss.state_dim, rng))
+
+
+def non_generic_system(modes, channels, rng):
+    """The reference model, whose poles {0, -1, 1, -1} give l_i + l_j = 0,
+    plus a random realizable block."""
+    block = build_pm_realization(random_pm_params(modes, channels, rng))
+    return direct_sum([example_state_space(), block])
+
+
+def undamped_pair_system(modes, rng):
+    """A mode coupled to one quadrature only (M = [[0.8, 0], [0, 0]]), so it
+    keeps poles +-i w, plus a random realizable block, mixed by a random
+    symplectic similarity.  Unlike the reference model's, the F entries of
+    its degenerate pair are not zero in eigen-coordinates."""
+    mode = build_pm_realization(
+        PmParams(np.eye(2), np.diag([0.8, 0.0]), np.diag([0.7, 1.3]), j_matrix(2)))
+    ss = direct_sum([mode, build_pm_realization(random_pm_params(modes, 1, rng))])
+    return similarity_transform(ss, random_symplectic(ss.state_dim, rng))
+
+
+def near_degenerate_model(gap):
+    """Diagonal model with poles {-gap, 1, -1 - gap, -2}: its pairs sum to
+    -2 gap and -gap.  The entries pair up as g3(s) = 1 / g1(-s) and
+    g4(s) = 1 / g2(-s), so G~ J G = J."""
+    entries = [
+        RationalEntry((1.0, 1.0), (1.0, gap)),
+        RationalEntry((1.0, -2.0), (1.0, 1.0 + gap)),
+        RationalEntry((1.0, -gap), (1.0, -1.0)),
+        RationalEntry((1.0, -1.0 - gap), (1.0, 2.0)),
+    ]
+    return block_diag([siso_realization(e) for e in entries])
 
 
 class TestSamplePoints:
@@ -238,6 +304,11 @@ def test_eigendecompositions_per_call(count_eigendecompositions):
     assert count_eigendecompositions(lambda: spectrum_report(big)) == 2
     # frequency check 1, F solve 1, rebuild placement and guards 2
     assert count_eigendecompositions(lambda: synthesize(small)) == 4
+    # degenerate pole pairs are pinned inside the one F solve
+    assert count_eigendecompositions(lambda: synthesize(example_state_space())) == 4
+    # a defective eigenbasis costs the one feedback-shifted F solve more
+    defective = defective_system([0.5] * 3, np.random.default_rng(1))
+    assert count_eigendecompositions(lambda: synthesize(defective)) == 5
     static = StateSpace.static(j_matrix(2))
     for call in (check_pr_frequency, spectrum_report, synthesize):
         assert count_eigendecompositions(lambda: call(static)) == 0
@@ -358,8 +429,9 @@ def test_compute_f_inverts_commutation_matrix_on_built_systems(seed, n, m):
 
 
 def kronecker_f(ss):
-    """Reference F: least squares on the stacked Kronecker form of the three
-    similarity equations, as in the fallback of ``_solve_f``."""
+    """Test reference for F: least squares on the stacked Kronecker form of
+    the three similarity equations.  It needs n^4 doubles and O(n^6) time;
+    the package solves for F in eigen-coordinates instead."""
     n2 = ss.state_dim
     d_inv = np.linalg.inv(ss.D)
     b_dinv = ss.B @ d_inv
@@ -382,7 +454,7 @@ def kronecker_f(ss):
 
 
 def refuse_fallback(*args, **kwargs):
-    raise AssertionError("the Kronecker least-squares fallback ran")
+    raise AssertionError("a least-squares or Kronecker solve ran")
 
 
 @pytest.mark.parametrize("channels", [1, 2, 3])
@@ -399,29 +471,133 @@ def test_compute_f_matches_kronecker_reference(modes, channels, monkeypatch):
         assert np.linalg.norm(f - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-def test_compute_f_falls_back_on_degenerate_spectrum():
-    """Poles {0, -1, 1, -1} give l_i + l_j = 0: the eigen-coordinate solve
-    gives no finite candidate, the fallback gives F = J C, and no warning
+def kronecker_outcome(ss, monkeypatch):
+    """compute_f with the Kronecker reference in place of every eigen-coordinate
+    solve: the reference F, or the class of the error the same gate raises."""
+    with monkeypatch.context() as patch:
+        patch.setattr(realizability, "_lyapunov_f", lambda *args: kronecker_f(ss))
+        return f_outcome(ss)
+
+
+def f_outcome(ss):
+    try:
+        return compute_f(ss)
+    except (NotRealizableError, SingularMatrixError) as exc:
+        return type(exc)
+
+
+def differential_corpus(family):
+    rng = np.random.default_rng(606)
+    if family == "drifted":
+        return [drifted_system(built_system(50 * modes + channels, modes, channels)[1], rng)
+                for modes in range(1, 9) for channels in (1, 2, 3)]
+    if family == "junk":
+        return [StateSpace(rng.standard_normal((n, n)), rng.standard_normal((n, 2)),
+                           rng.standard_normal((2, n)), np.eye(2)) for n in (2, 4, 6)]
+    if family == "non-generic":
+        return [non_generic_system(modes, 1 + modes % 3, rng) for modes in (1, 2, 4, 8, 16)] + [
+            undamped_pair_system(modes, rng) for modes in (1, 4, 12)]
+    if family == "defective, equal poles":
+        return [defective_system([0.5] * k, rng) for k in (1, 2, 3, 5, 8, 17)]
+    if family == "defective, distinct poles":
+        return [defective_system(list(0.4 + 0.1 * np.arange(k)), rng) for k in (1, 2, 3, 5, 8, 12)]
+    # B B^T is a multiple of I under an orthogonal mix of equal rates
+    return [defective_system([0.5] * k, rng, random_orthogonal) for k in (1, 3, 8, 12)]
+
+
+def plain_eigen_f(ss):
+    """F from A^T F + F A = C^T J C divided out in eigen-coordinates, with no
+    pinned pair and no feedback shift."""
+    q = ss.C.T @ j_matrix(ss.num_outputs) @ ss.C
+    lam, v = np.linalg.eig(ss.A)
+    w = np.linalg.inv(v)
+    y = (v.T @ q @ v) / (lam[:, None] + lam[None, :])
+    f_raw = (w.T @ y @ w).real
+    return 0.5 * (f_raw - f_raw.T)
+
+
+@pytest.mark.parametrize("family", [
+    "drifted", "junk", "non-generic", "defective, equal poles", "defective, distinct poles",
+    "defective, orthogonal mix",
+])
+def test_compute_f_agrees_with_kronecker_reference_on_every_spectrum(family, monkeypatch):
+    """Up to 36 states: compute_f raises the error class the gate raises on
+    the Kronecker reference F, or gives that F within 1e-9 relative.  The
+    one exception is a defective basis whose plain eigen-coordinate F passes
+    the gate: that F is accepted bit for bit, within the gate but not always
+    within 1e-9 of the reference."""
+    for ss in differential_corpus(family):
+        assert ss.state_dim <= 36
+        ref, got = kronecker_outcome(ss, monkeypatch), f_outcome(ss)
+        if isinstance(ref, type):
+            assert got is ref
+        elif np.linalg.norm(got - ref) > 1e-9 * np.linalg.norm(ref):
+            assert family.startswith("defective")
+            assert np.array_equal(got, plain_eigen_f(ss))
+
+
+def test_compute_f_pins_degenerate_pairs_on_reference_model(monkeypatch):
+    """Poles {0, -1, 1, -1} give l_i + l_j = 0: the coupling equation pins
+    those entries in the first eigen-coordinate pass, F = J C, and no warning
     escapes."""
     ss = example_state_space()
+    passes = []
+    solve = realizability._lyapunov_f
+    monkeypatch.setattr(realizability, "_lyapunov_f",
+                        lambda *args: passes.append(None) or solve(*args))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fast = realizability._lyapunov_f(ss.A, ss.C.T @ j_matrix(4) @ ss.C)
         f = compute_f(ss)
-    assert fast is None
-    assert np.linalg.norm(f - j_matrix(4) @ ss.C) < 1e-10
-    assert np.linalg.norm(f - kronecker_f(ss)) < 1e-12
+    expected = j_matrix(4) @ ss.C
+    assert len(passes) == 1
+    assert np.linalg.norm(f - expected) <= 1e-15 * np.linalg.norm(expected)
 
 
-def test_compute_f_falls_back_when_eigendecomposition_fails(monkeypatch):
+@pytest.mark.parametrize("modes", [1, 3, 8, 64])
+def test_compute_f_pins_nonzero_entries_of_an_undamped_pair(modes, monkeypatch, refuse_large_kron):
+    """Poles +-i w: the pinned entries of Y = V^T F V are not zero, and the
+    first eigen-coordinate pass finds them."""
+    ss = undamped_pair_system(modes, np.random.default_rng(modes))
+    passes = []
+    solve = realizability._lyapunov_f
+    monkeypatch.setattr(realizability, "_lyapunov_f",
+                        lambda *args: passes.append(None) or solve(*args))
+    f = compute_f(ss)
+    lam, v = np.linalg.eig(ss.A)
+    gap = np.abs(lam[:, None] + lam[None, :])
+    pinned = gap <= realizability.DEGENERATE_PAIR_CUTOFF * np.abs(lam).max()
+    assert len(passes) == 1
+    assert np.count_nonzero(pinned) == 2
+    y = np.abs(v.T @ f @ v)
+    assert y[pinned].min() > 1e-6 * y.max()
+    if ss.state_dim <= 36:
+        ref = kronecker_f(ss)
+        assert np.linalg.norm(f - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_compute_f_raises_when_eigendecomposition_fails(monkeypatch, tmp_path, capsys):
     _, ss = built_system(5, 3, 2)
-    ref = kronecker_f(ss)
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("forced for the test")
 
     monkeypatch.setattr(np.linalg, "eig", fail)
-    assert np.linalg.norm(compute_f(ss) - ref) <= 1e-10 * np.linalg.norm(ref)
+    with pytest.raises(np.linalg.LinAlgError):
+        compute_f(ss)
+    path = tmp_path / "sys.json"
+    path.write_text(jsonio.dumps(jsonio.encode_state_space(ss)))
+    assert cli.main(["synthesize", "--input", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+def test_compute_f_with_zero_input_matrix_is_singular():
+    """B = 0 leaves F undetermined: SingularMatrixError, with no warning from
+    the feedback shift."""
+    ss = StateSpace(-np.eye(2), np.zeros((2, 2)), np.eye(2), np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError):
+            compute_f(ss)
 
 
 def test_compute_f_rejects_static_and_unrealizable():
@@ -525,10 +701,10 @@ def test_synthesize_keeps_minimal_systems_at_scale(modes, channels):
         assert result.equation_residuals["rebuild_max_relative_deviation"] < 1e-7
 
 
-@pytest.mark.parametrize("modes, channels", [(32, 1), (32, 2), (128, 1)])
-def test_synthesize_at_64_and_256_states(modes, channels, monkeypatch):
-    """The eigen-coordinate F solve carries these sizes.  The Kronecker form
-    would need n^4 doubles (34 GB at 256 states), so building it is refused."""
+@pytest.fixture
+def refuse_large_kron(monkeypatch):
+    """The Kronecker form of the F equations needs n^4 doubles (34 GB at 256
+    states): refuse any np.kron product of more than 1e6 elements."""
     kron = np.kron
 
     def small_kron(a, b):
@@ -537,10 +713,53 @@ def test_synthesize_at_64_and_256_states(modes, channels, monkeypatch):
         return kron(a, b)
 
     monkeypatch.setattr(np, "kron", small_kron)
+
+
+@pytest.mark.parametrize("modes, channels", [(32, 1), (32, 2), (128, 1)])
+def test_synthesize_at_64_and_256_states(modes, channels, refuse_large_kron):
+    """The eigen-coordinate F solve carries these sizes."""
     _, ss = built_system(7 * modes + channels, modes, channels)
     result = synthesize(ss)
     assert result.reduced_from is None
     assert result.equation_residuals["rebuild_max_relative_deviation"] < 1e-7
+
+
+@pytest.mark.parametrize("kind, size", [
+    ("non-generic", 64), ("non-generic", 128), ("non-generic", 256),
+    ("defective", 34), ("defective", 64),
+])
+def test_synthesize_non_generic_spectra_at_scale(kind, size, refuse_large_kron):
+    """Degenerate pole pairs and defective eigenbases at sizes the Kronecker
+    form cannot take."""
+    rng = np.random.default_rng(size)
+    if kind == "non-generic":
+        ss = non_generic_system(size // 2 - 2, 2, rng)
+    else:
+        # at 64 states a random symplectic mix leaves sampled (J,J) residuals
+        # of 1e-8 to 2e-7, and the frequency check rejects the system before
+        # F is solved; an orthogonal mix keeps the realization well scaled
+        modes = size // 2
+        mix = random_symplectic if size < 64 else random_orthogonal
+        ss = defective_system([0.5] * (modes - modes // 2) + [0.7] * (modes // 2), rng, mix)
+    assert ss.state_dim == size
+    result = synthesize(ss)
+    assert result.reduced_from is None
+    assert result.equation_residuals["rebuild_max_relative_deviation"] < 1e-7
+
+
+@pytest.mark.parametrize("exponent", range(-12, -1))
+def test_synthesize_near_degenerate_pairs(exponent, refuse_large_kron):
+    """Pole pairs summing to -gap and -2 gap, gap = 1e-12 ... 1e-2 on both
+    sides of the cutoff, next to a random 64-state block: all three F
+    equations hold to 1e-10."""
+    block = build_pm_realization(random_pm_params(32, 1, np.random.default_rng(68)))
+    ss = direct_sum([near_degenerate_model(10.0 ** exponent), block])
+    result = synthesize(ss)
+    res = result.equation_residuals
+    assert res["rebuild_max_relative_deviation"] < 1e-7
+    worst = max(res[k] for k in
+                ("f_eq_output_coupling", "f_eq_input_coupling", "f_eq_state_similarity"))
+    assert worst <= 1e-10
 
 
 def test_zero_pole_mirror_on_reference_model():

@@ -7,11 +7,14 @@ two hidden states (not minimal), plus their parameter sets in both forms and
 random commutation matrices.  Two PR systems have spectra that a plain
 eigen-coordinate F solve cannot take: the reference model plus a random
 block (pole pairs with l_i + l_j = 0) and three single-mode Jordan blocks
-(a defective eigenbasis).  It then runs ``oqho.cli.main`` in-process for
-``check`` (frequency and ``--theta``), ``spectrum``, ``synthesize``,
-``convert`` in both directions, ``factor`` and ``example``, and records every
-output file under ``OUT/outputs`` and every exit code, stdout and stderr under
-``OUT/calls``.
+(a defective eigenbasis).  After the seeded corpus come fixed literal inputs
+that the CLI must refuse, drawn from no generator: a system with a singular
+feedthrough D, a rank-2 4x4 skew matrix and a non-skew matrix as commutation
+matrices, and parameter sets with a singular Theta or a singular ladder
+transformation E.  It then runs ``oqho.cli.main`` in-process for ``check``
+(frequency and ``--theta``), ``spectrum``, ``synthesize``, ``convert`` in both
+directions, ``factor`` and ``example``, and records every output file under
+``OUT/outputs`` and every exit code, stdout and stderr under ``OUT/calls``.
 
 Two trees behave byte-identically on the corpus when
 
@@ -36,7 +39,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from oqho import cli, jsonio
-from oqho.forms import PmParams, build_pm_realization, pm_to_ac
+from oqho.forms import AcParams, PmParams, build_pm_realization, pm_to_ac
 from oqho.sampling import (
     random_orthogonal,
     random_pm_params,
@@ -151,7 +154,35 @@ def build_corpus(seed: int) -> list:
             (f"{name}_spectrum", ["spectrum", "--input", path]),
             (f"{name}_synthesize", ["synthesize", "--input", path]),
         ]
-    return calls
+    return calls + error_calls(inputs)
+
+
+def error_calls(inputs: Path) -> list:
+    """Literal inputs the CLI must refuse, with the calls that feed them in."""
+    rank2 = np.zeros((4, 4))
+    rank2[0, 1], rank2[1, 0] = 1.0, -1.0
+    singular_d = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2), np.diag([1.0, 0.0]))
+    system = write(inputs / "singular_d.json", jsonio.encode_state_space(singular_d))
+    example = write(inputs / "example.json", jsonio.encode_state_space(example_state_space()))
+    pm = write(inputs / "singular_theta_pm.json", jsonio.encode_pm_params(
+        PmParams(np.eye(2), 0.5 * np.ones((2, 4)), np.eye(4), rank2)))
+    ac = write(inputs / "singular_e_ac.json", jsonio.encode_ac_params(
+        AcParams(np.eye(1), 0.5 * np.ones((1, 2)), np.zeros((1, 2)), np.eye(2),
+                 np.zeros((2, 2)), np.diag([1.0, 0.0]), np.zeros((2, 2)))))
+    calls = [(f"singular_d_{command}", [command, "--input", system])
+             for command in ("spectrum", "check", "synthesize")]
+    non_skew = np.arange(16.0).reshape(4, 4)
+    for name, mat in (("rank2_theta", rank2), ("non_skew_theta", non_skew)):
+        theta = write(inputs / f"{name}.json", jsonio.encode_real_matrix(mat))
+        calls += [
+            (f"{name}_check", ["check", "--input", example, "--theta", theta]),
+            (f"{name}_synthesize", ["synthesize", "--input", example, "--theta", theta]),
+            (f"{name}_factor", ["factor", "--input", theta]),
+        ]
+    return calls + [
+        ("singular_theta_pm2ac", ["convert", "--direction", "pm2ac", "--input", pm]),
+        ("singular_e_ac2pm", ["convert", "--direction", "ac2pm", "--input", ac]),
+    ]
 
 
 def run(name: str, argv: list) -> None:

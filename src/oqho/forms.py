@@ -28,11 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SingularMatrixError, StructureError
+from .errors import DimensionError, StructureError
 from .skewfactor import cholesky_like
 from .statespace import StateSpace, _evaluate_quadruple
 from .structured import (
     StructureTolerance,
+    _min_singular_ratio,
+    _require_nonsingular,
     bold_j_matrix,
     doubled_up,
     extract_bold_blocks,
@@ -67,13 +69,6 @@ def ito_matrix(m: int) -> np.ndarray:
     if m < 1:
         raise DimensionError(f"ito_matrix needs at least one channel, got {m}")
     return np.eye(2 * m) + 1j * j_matrix(2 * m)
-
-
-def _min_singular_ratio(mat: np.ndarray) -> float:
-    if mat.size == 0:
-        return np.inf
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
 
 
 @dataclass
@@ -136,8 +131,7 @@ class PmParams:
                 + ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items()),
                 res,
             )
-        if self.modes and _min_singular_ratio(self.Theta) <= 1e-12:
-            raise SingularMatrixError("commutation matrix Theta is singular")
+        _require_nonsingular(_min_singular_ratio(self.Theta), "commutation matrix Theta")
         return res
 
     def symmetrized(self) -> "PmParams":
@@ -208,13 +202,12 @@ class AcParams:
         return e @ bold_j_matrix(2 * self.modes) @ e.conj().T
 
     def structure_residuals(self) -> dict:
-        res = {
+        return {
             "s_unitarity": unitarity_residual(self.S),
             "h1_hermitian": hermitian_residual(self.H1) if self.modes else 0.0,
             "h2_symmetry": float(np.linalg.norm(self.H2 - self.H2.T)),
+            "e_min_singular_ratio": _min_singular_ratio(self.E),
         }
-        res["e_min_singular_ratio"] = _min_singular_ratio(self.E) if self.modes else np.inf
-        return res
 
     def validate(self, tol=None) -> dict:
         tol = StructureTolerance.coerce(tol)
@@ -235,8 +228,7 @@ class AcParams:
                 + ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items()),
                 res,
             )
-        if self.modes and res["e_min_singular_ratio"] <= 1e-12:
-            raise SingularMatrixError("ladder transformation E is singular")
+        _require_nonsingular(res["e_min_singular_ratio"], "ladder transformation E")
         return res
 
     def hermitized(self) -> "AcParams":

@@ -53,6 +53,8 @@ from .statespace import (
 )
 from .structured import (
     StructureTolerance,
+    _min_singular_ratio,
+    _require_nonsingular,
     j_matrix,
     orthogonality_residual,
     skew_symmetry_residual,
@@ -265,9 +267,7 @@ def check_pr_time_domain(ss: StateSpace, theta, tol: float = 1e-8) -> PrReport:
     d_symp = symplectic_residual(ss.D)
     conditions = {"d_orthogonality": d_orth, "d_symplectic": d_symp}
     if n2:
-        sv = np.linalg.svd(theta, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
-            raise SingularMatrixError("commutation matrix Theta is singular")
+        _require_nonsingular(_min_singular_ratio(theta), "commutation matrix Theta")
         theta_inv = np.linalg.inv(theta)
         bjbt = ss.B @ j @ ss.B.T
         ccr = float(np.linalg.norm(ss.A @ theta + theta @ ss.A.T + bjbt))
@@ -311,8 +311,8 @@ def _lyapunov_f(a: np.ndarray, q: np.ndarray, g: np.ndarray, h: np.ndarray) -> n
     """Solve A^T F + F A = Q with F G = H in the eigen-coordinates of A.
 
     With A = V L V^{-1} and Y = V^T F V, (l_i + l_j) Y_ij = (V^T Q V)_ij.  The
-    entries of degenerate pairs are pinned row by row by Y V^{-1} G = V^T H, a
-    least-squares problem with one equation per column of G.  Raises
+    entries of degenerate pairs are pinned by Y V^{-1} G = V^T H, one least-
+    squares solve for all the rows that pin the same columns.  Raises
     LinAlgError when the eigenvector basis is singular.
     """
     lam, v = np.linalg.eig(a)
@@ -322,9 +322,12 @@ def _lyapunov_f(a: np.ndarray, q: np.ndarray, g: np.ndarray, h: np.ndarray) -> n
     y = (v.T @ q @ v) / np.where(pinned, 1.0, gap)
     if pinned.any():
         wg, vh = w @ g, v.T @ h
-        for i in np.flatnonzero(pinned.any(axis=1)):
-            k = pinned[i]
-            y[i, k] = np.linalg.lstsq(wg[k].T, vh[i] - y[i, ~k] @ wg[~k], rcond=None)[0]
+        rows = np.flatnonzero(pinned.any(axis=1))
+        patterns, group = np.unique(pinned[rows], axis=0, return_inverse=True)
+        for p, k in enumerate(patterns):
+            r = rows[group == p]
+            rhs = vh[r] - y[np.ix_(r, ~k)] @ wg[~k]
+            y[np.ix_(r, k)] = np.linalg.lstsq(wg[k].T, rhs.T, rcond=None)[0].T
     return (w.T @ y @ w).real
 
 
@@ -374,22 +377,15 @@ def _solve_f(ss: StateSpace, tol: float = 1e-8):
     if ss.state_dim == 0:
         raise ValueError("no dynamics: a static system does not define F")
     channels = ss.require_square_channels()
-    d_inv = np.linalg.inv(ss.D)
-    b_dinv = ss.B @ d_inv
-    dinv_c = d_inv @ ss.C
-    a_inv = ss.A - b_dinv @ ss.C
+    inv = inverse_realization(ss)  # refuses a singular D
+    b_dinv, dinv_c, a_inv = inv.B, -inv.C, inv.A
     j = j_matrix(channels)
 
     def gate(f_raw):
         """(F, F^{-1}, diagnostics) of an accepted solution; raises otherwise."""
         asym = float(np.linalg.norm(f_raw + f_raw.T) / max(1.0, np.linalg.norm(f_raw)))
         f = 0.5 * (f_raw - f_raw.T)
-        sv = np.linalg.svd(f, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
-            raise SingularMatrixError(
-                "similarity matrix F is singular; system is not a realizable "
-                "minimal candidate"
-            )
+        _require_nonsingular(_min_singular_ratio(f), "similarity matrix F")
         f_inv = np.linalg.inv(f)
         diagnostics = _f_equation_residuals(ss, j, b_dinv, dinv_c, a_inv, f, f_inv)
         diagnostics["f_raw_asymmetry"] = asym
@@ -427,8 +423,8 @@ def compute_f(ss: StateSpace, tol: float = 1e-8) -> np.ndarray:
 
     Raises ValueError for static systems, NotRealizableError when no solution
     of the similarity equations holds within ``tol``, SingularMatrixError when
-    the solution is numerically singular, and LinAlgError when an
-    eigendecomposition fails or both eigenvector bases are singular.
+    D or the solution is singular to working precision, and LinAlgError
+    when an eigendecomposition fails or both eigenvector bases are singular.
     """
     f, _, _ = _solve_f(ss, tol)
     return f
@@ -545,6 +541,6 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = 1e-8,
     )
 
 
-def pr_zero_pole_mirror(ss: StateSpace, pairing_tol: float = 1e-6) -> bool:
+def pr_zero_pole_mirror(ss: StateSpace) -> bool:
     """Mirror test: transmission zeros match poles reflected through iR."""
-    return spectrum_report(ss, pairing_tol).mirror_symmetric
+    return spectrum_report(ss).mirror_symmetric

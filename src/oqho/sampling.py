@@ -22,6 +22,13 @@ __all__ = [
     "random_ac_params",
 ]
 
+# Scales of the random coupling and energy matrices, range of the skew pair
+# strengths, and scale of the symplectic shear generators.
+COUPLING_SCALE = 0.7
+ENERGY_SCALE = 0.7
+DELTA_RANGE = (0.5, 2.0)
+SHEAR_SCALE = 0.4
+
 
 def as_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
@@ -63,29 +70,25 @@ def random_symmetric(dim: int, rng, scale: float = 1.0) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
-def random_skew_nonsingular(dim: int, rng, delta_range=(0.5, 2.0)) -> np.ndarray:
-    """Well-conditioned skew-symmetric matrix with pair strengths in delta_range."""
+def random_skew_nonsingular(dim: int, rng) -> np.ndarray:
+    """Well-conditioned skew-symmetric matrix with pair strengths in DELTA_RANGE."""
     if dim % 2 or dim < 2:
         raise ValueError(f"nonsingular skew matrices have even dimension, got {dim}")
     rng = as_rng(rng)
-    n = dim // 2
-    deltas = rng.uniform(delta_range[0], delta_range[1], n)
-    canon = np.zeros((dim, dim))
-    for i, d in enumerate(deltas):
-        canon[2 * i, 2 * i + 1] = d
-        canon[2 * i + 1, 2 * i] = -d
+    deltas = rng.uniform(*DELTA_RANGE, dim // 2)
+    canon = np.kron(np.diag(deltas), [[0.0, 1.0], [-1.0, 0.0]])
     q = random_orthogonal(dim, rng)
     return q @ canon @ q.T
 
 
-def random_symplectic(dim: int, rng, scale: float = 0.4) -> np.ndarray:
+def random_symplectic(dim: int, rng) -> np.ndarray:
     """Random symplectic matrix from shear and block-diagonal generators."""
     if dim % 2:
         raise ValueError(f"symplectic matrices have even dimension, got {dim}")
     rng = as_rng(rng)
     n = dim // 2
-    s1 = random_symmetric(n, rng, scale)
-    s2 = random_symmetric(n, rng, scale)
+    s1 = random_symmetric(n, rng, SHEAR_SCALE)
+    s2 = random_symmetric(n, rng, SHEAR_SCALE)
     q = random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n))
     eye = np.eye(n)
     zero = np.zeros((n, n))
@@ -95,25 +98,23 @@ def random_symplectic(dim: int, rng, scale: float = 0.4) -> np.ndarray:
     return upper @ middle @ lower
 
 
-def random_pm_params(modes: int, channels: int, rng, coupling_scale: float = 0.7,
-                     energy_scale: float = 0.7) -> PmParams:
+def random_pm_params(modes: int, channels: int, rng) -> PmParams:
     rng = as_rng(rng)
     d = random_orthosymplectic(2 * channels, rng)
-    m = rng.standard_normal((2 * channels, 2 * modes)) * coupling_scale
-    r = random_symmetric(2 * modes, rng, energy_scale)
+    m = rng.standard_normal((2 * channels, 2 * modes)) * COUPLING_SCALE
+    r = random_symmetric(2 * modes, rng, ENERGY_SCALE)
     theta = random_skew_nonsingular(2 * modes, rng)
     return PmParams(d, m, r, theta)
 
 
-def random_ac_params(modes: int, channels: int, rng, coupling_scale: float = 0.7,
-                     energy_scale: float = 0.7) -> AcParams:
+def random_ac_params(modes: int, channels: int, rng) -> AcParams:
     rng = as_rng(rng)
     s = random_unitary(channels, rng)
-    n1 = _complex_normal(rng, (channels, modes), coupling_scale)
-    n2 = _complex_normal(rng, (channels, modes), coupling_scale)
-    h = _complex_normal(rng, (modes, modes), energy_scale)
+    n1 = _complex_normal(rng, (channels, modes), COUPLING_SCALE)
+    n2 = _complex_normal(rng, (channels, modes), COUPLING_SCALE)
+    h = _complex_normal(rng, (modes, modes), ENERGY_SCALE)
     h1 = 0.5 * (h + h.conj().T)
-    g = _complex_normal(rng, (modes, modes), energy_scale)
+    g = _complex_normal(rng, (modes, modes), ENERGY_SCALE)
     h2 = 0.5 * (g + g.T)
     while True:
         e1 = np.eye(modes) + _complex_normal(rng, (modes, modes), 0.3)

@@ -5,19 +5,24 @@ Theta = O blkdiag([[0, d_i], [-d_i, 0]]) O^T with d_1 >= ... >= d_n > 0, and a
 Cholesky-like square-root factorization Theta = Sigma J Sigma^T against the
 canonical symplectic form J.  The blocks are recovered through the Hermitian
 eigenproblem of i*Theta, whose +d eigenvectors carry each invariant plane.
+The d_i, Theta's singular values, decide its invertibility by the package's
+one rule; both factorizations treat all pairs in one array pass.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SingularMatrixError, StructureError
-from .structured import StructureTolerance, j_matrix, skew_symmetry_residual
+from .errors import DimensionError, StructureError
+from .structured import (
+    StructureTolerance,
+    _min_singular_ratio,
+    _require_nonsingular,
+    j_matrix,
+    skew_symmetry_residual,
+)
 
 __all__ = ["SkewFactorization", "murnaghan", "cholesky_like", "relate_ccr"]
-
-# deltas whose ratio to the largest falls below this mark the input singular
-DELTA_CUTOFF = 1e-12
 
 
 @dataclass
@@ -28,47 +33,11 @@ class SkewFactorization:
     O: np.ndarray
     deltas: np.ndarray
 
-    def canonical(self) -> np.ndarray:
-        return _canonical_blocks(self.deltas)
-
     def reconstruction_residual(self, theta) -> float:
         theta = np.asarray(theta, dtype=float)
         rebuilt = self.Sigma @ j_matrix(theta.shape[0]) @ self.Sigma.T
         denom = max(np.linalg.norm(theta), np.finfo(float).tiny)
         return float(np.linalg.norm(rebuilt - theta) / denom)
-
-
-def _canonical_blocks(deltas) -> np.ndarray:
-    deltas = np.asarray(deltas, dtype=float)
-    out = np.zeros((2 * deltas.size, 2 * deltas.size))
-    for i, d in enumerate(deltas):
-        out[2 * i, 2 * i + 1] = d
-        out[2 * i + 1, 2 * i] = -d
-    return out
-
-
-def _interleave_permutation(n: int) -> np.ndarray:
-    """Permutation P with P J_{2n} P^T = blkdiag of n copies of [[0,1],[-1,0]]."""
-    p = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        p[2 * i, i] = 1.0
-        p[2 * i + 1, n + i] = 1.0
-    return p
-
-
-def _canonical_pair(w: np.ndarray) -> np.ndarray:
-    """Orthonormal real column pair for one +delta eigenvector of i*Theta.
-
-    The plane spanned by (Re w, Im w) is rotation-invariant under the phase of
-    w; the phase is fixed so the largest-norm row of the pair becomes
-    (positive, 0), which makes the output independent of LAPACK's phase choice.
-    """
-    block = np.column_stack([np.sqrt(2.0) * w.imag, np.sqrt(2.0) * w.real])
-    r = int(np.argmax(np.linalg.norm(block, axis=1)))
-    a, b = block[r, 0], block[r, 1]
-    h = np.hypot(a, b)
-    rot = np.array([[a / h, -b / h], [b / h, a / h]])
-    return block @ rot
 
 
 def murnaghan(theta, tol=None) -> tuple[np.ndarray, np.ndarray]:
@@ -92,33 +61,36 @@ def murnaghan(theta, tol=None) -> tuple[np.ndarray, np.ndarray]:
             {"skew_symmetry": resid},
         )
     theta = 0.5 * (theta - theta.T)
-    dim = theta.shape[0]
-    n = dim // 2
+    n = theta.shape[0] // 2
     evals, evecs = np.linalg.eigh(1j * theta)
     # eigenvalues come in +/- pairs; take the positive half, largest first
     order = np.argsort(evals)[::-1][:n]
     deltas = evals[order].astype(float)
-    if deltas.size and (deltas[-1] <= DELTA_CUTOFF * deltas[0] or deltas[0] <= 0.0):
-        raise SingularMatrixError(
-            f"skew matrix is singular to working precision (deltas {deltas})"
-        )
-    columns = [_canonical_pair(evecs[:, i]) for i in order]
-    o = np.hstack(columns) if columns else np.zeros((dim, 0))
+    _require_nonsingular(_min_singular_ratio(deltas), "skew matrix")
+    if n == 0:
+        return np.zeros((0, 0)), deltas
+    # The column pair (sqrt2 Im w, sqrt2 Re w) of each +delta eigenvector w is
+    # rotated by the phase that makes its largest-norm row (positive, 0), so
+    # that O does not depend on LAPACK's phase choice.
+    w = evecs[:, order].T
+    pairs = np.sqrt(2.0) * np.stack([w.imag, w.real], axis=2)
+    a, b = pairs[np.arange(n), np.argmax(np.linalg.norm(pairs, axis=2), axis=1)].T
+    rot = np.stack([a, -b, b, a], axis=1).reshape(n, 2, 2) / np.hypot(a, b)[:, None, None]
+    o = (pairs @ rot).transpose(1, 0, 2).reshape(2 * n, 2 * n)
     return o, deltas
 
 
 def cholesky_like(theta, tol=None) -> SkewFactorization:
     """Square-root factorization Theta = Sigma J Sigma^T via the canonical form.
 
-    Sigma = O diag(sqrt d_1, sqrt d_1, ..., sqrt d_n, sqrt d_n) P where P
-    permutes the block form of J into interleaved 2x2 blocks.  Sigma is unique
-    only up to a symplectic right factor; this construction is deterministic
-    for identical input.
+    Sigma = O diag(sqrt d_1, sqrt d_1, ..., sqrt d_n, sqrt d_n) P where P, an
+    index array on the columns, permutes the block form of J into interleaved
+    2x2 blocks.  Sigma is unique only up to a symplectic right factor; this
+    construction is deterministic for identical input.
     """
     o, deltas = murnaghan(theta, tol)
-    n = deltas.size
-    scale = np.repeat(np.sqrt(deltas), 2)
-    sigma = o @ np.diag(scale) @ _interleave_permutation(n)
+    columns = np.arange(2 * deltas.size).reshape(-1, 2).T.ravel()
+    sigma = o[:, columns] * np.tile(np.sqrt(deltas), 2)
     return SkewFactorization(Sigma=sigma, O=o, deltas=deltas)
 
 

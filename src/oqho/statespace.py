@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NearPoleError, SingularMatrixError
+from .errors import DimensionError, NearPoleError
+from .structured import _min_singular_ratio, _require_nonsingular
 
 __all__ = [
     "StateSpace",
@@ -40,12 +41,13 @@ __all__ = [
 # Evaluation points closer than RESOLVENT_GUARD * (1 + |s|) to a pole are refused.
 RESOLVENT_GUARD = 1e-9
 
-# Singular values below SINGULARITY_CUTOFF * s_max mark a matrix as non-invertible.
-SINGULARITY_CUTOFF = 1e-12
-
 # A staircase block direction with singular value below
 # RANK_CUTOFF * max(|A|_F, |B|_F) is taken as unreachable.
 RANK_CUTOFF = 1e-10
+
+# spectrum_report pairs a zero with a mirrored pole, and a pole with a mirrored
+# pole, when they lie closer than PAIRING_TOLERANCE.
+PAIRING_TOLERANCE = 1e-6
 
 
 @dataclass
@@ -166,18 +168,6 @@ def _strip_leading(coeffs):
     return coeffs[i:]
 
 
-def _inv_checked(mat: np.ndarray, name: str) -> np.ndarray:
-    if mat.size == 0:
-        return mat.reshape(mat.shape)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] <= SINGULARITY_CUTOFF * sv[0] or sv[0] == 0.0:
-        raise SingularMatrixError(
-            f"{name} is singular to working precision (singular values "
-            f"{sv[0]:.3e} .. {sv[-1]:.3e})"
-        )
-    return np.linalg.inv(mat)
-
-
 def poles(ss: StateSpace) -> np.ndarray:
     """Eigenvalues of A; empty for a static system."""
     if ss.state_dim == 0:
@@ -242,7 +232,7 @@ def similarity_transform(ss: StateSpace, t: np.ndarray) -> StateSpace:
     n = ss.state_dim
     if t.shape != (n, n):
         raise DimensionError(f"transform must be {n}x{n}, got {t.shape}")
-    _inv_checked(t, "similarity transform")
+    _require_nonsingular(_min_singular_ratio(t), "similarity transform")
     a_new = np.linalg.solve(t.T, (t @ ss.A).T).T
     c_new = np.linalg.solve(t.T, ss.C.T).T
     return StateSpace(a_new, t @ ss.B, c_new, ss.D.copy())
@@ -297,9 +287,8 @@ def inverse_realization(ss: StateSpace) -> StateSpace:
     """Realization of the inverse transfer function (requires invertible D)."""
     if ss.num_inputs != ss.num_outputs:
         raise DimensionError("inverse needs a square system")
-    d_inv = _inv_checked(ss.D, "feedthrough D")
-    if ss.state_dim == 0:
-        return StateSpace.static(d_inv)
+    _require_nonsingular(_min_singular_ratio(ss.D), "feedthrough D")
+    d_inv = np.linalg.inv(ss.D)
     b_dinv = ss.B @ d_inv
     return StateSpace(ss.A - b_dinv @ ss.C, b_dinv, -d_inv @ ss.C, d_inv)
 
@@ -309,7 +298,7 @@ def transmission_zeros(ss: StateSpace) -> np.ndarray:
     return poles(inverse_realization(ss))
 
 
-def match_multisets(left, right, tol: float = 1e-6):
+def match_multisets(left, right, tol: float = PAIRING_TOLERANCE):
     """Greedy nearest-neighbour matching of two complex multisets.
 
     Returns (matched, max_distance).  ``matched`` is False when the sizes
@@ -335,7 +324,7 @@ def match_multisets(left, right, tol: float = 1e-6):
     return True, max_dist
 
 
-def spectrum_report(ss: StateSpace, pairing_tol: float = 1e-6) -> SpectrumReport:
+def spectrum_report(ss: StateSpace) -> SpectrumReport:
     """Poles, zeros, the zero/pole mirror test, and spectral genericity.
 
     Mirror symmetry pairs the zeros against the poles reflected through the
@@ -345,9 +334,9 @@ def spectrum_report(ss: StateSpace, pairing_tol: float = 1e-6) -> SpectrumReport
     p = poles(ss)
     z = transmission_zeros(ss)
     mirrored = -p.conj()
-    matched, max_dist = match_multisets(mirrored, z, pairing_tol)
+    matched, max_dist = match_multisets(mirrored, z)
     mirror_gap = p[:, None] + p.conj()[None, :]
-    generic = not (np.hypot(mirror_gap.real, mirror_gap.imag) <= pairing_tol).any()
+    generic = not (np.hypot(mirror_gap.real, mirror_gap.imag) <= PAIRING_TOLERANCE).any()
     return SpectrumReport(
         poles=p,
         zeros=z,

@@ -1,4 +1,5 @@
-"""Structured constant matrices and residual-based matrix-group predicates.
+"""Structured constant matrices, residual-based matrix-group predicates, and
+the one rule by which the package refuses a singular matrix.
 
 Conventions: a dimension-2k quadrature vector is ordered as k positions
 followed by k momenta, so the symplectic form is the block matrix
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, SingularMatrixError
 
 __all__ = [
     "StructureTolerance",
@@ -67,7 +68,30 @@ class StructureTolerance:
 
 DEFAULT_TOLERANCE = StructureTolerance()
 
+# Every invertibility decision of the package: a smallest/largest singular-value
+# ratio at or below this makes a matrix singular to working precision (the SVD
+# numerical-rank test, Golub and Van Loan, Matrix Computations, 4th ed., 5.4.1).
+SINGULARITY_CUTOFF = 1e-12
+
 _fro = np.linalg.norm
+
+
+def _min_singular_ratio(x) -> float:
+    """Smallest/largest singular value of the matrix ``x``, or of ``x`` itself if
+    1-d (singular values, descending); inf when empty, 0 when the largest is 0."""
+    if x.size == 0:
+        return np.inf
+    sv = x if x.ndim == 1 else np.linalg.svd(x, compute_uv=False)
+    return float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+
+
+def _require_nonsingular(ratio: float, name: str) -> None:
+    """Refuse the matrix ``name`` by its smallest/largest singular-value ratio."""
+    if ratio <= SINGULARITY_CUTOFF:
+        raise SingularMatrixError(
+            f"{name} is singular to working precision "
+            f"(smallest/largest singular value {ratio:.3e})"
+        )
 
 
 def _require_even(r: int, name: str) -> int:

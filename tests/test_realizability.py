@@ -575,6 +575,59 @@ def test_compute_f_pins_nonzero_entries_of_an_undamped_pair(modes, monkeypatch, 
         assert np.linalg.norm(f - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def per_row_lyapunov_f(a, q, g, h):
+    """Reference eigen-coordinate solve that pins degenerate pairs with one
+    least-squares solve per affected row."""
+    lam, v = np.linalg.eig(a)
+    w = np.linalg.inv(v)
+    gap = lam[:, None] + lam[None, :]
+    pinned = np.abs(gap) <= realizability.DEGENERATE_PAIR_CUTOFF * np.abs(lam).max()
+    y = (v.T @ q @ v) / np.where(pinned, 1.0, gap)
+    wg, vh = w @ g, v.T @ h
+    for i in np.flatnonzero(pinned.any(axis=1)):
+        k = pinned[i]
+        y[i, k] = np.linalg.lstsq(wg[k].T, vh[i] - y[i, ~k] @ wg[~k], rcond=None)[0]
+    return (w.T @ y @ w).real
+
+
+def pinned_systems():
+    rng = np.random.default_rng(77)
+    for copies in (1, 2, 16, 64):
+        yield f"{copies} reference models", direct_sum([example_state_space()] * copies)
+    yield "reference model + block", non_generic_system(3, 2, rng)
+    for modes in (1, 3, 8, 64):
+        yield f"undamped pair + {modes}", undamped_pair_system(modes, np.random.default_rng(modes))
+
+
+@pytest.mark.parametrize("ss", [pytest.param(ss, id=name) for name, ss in pinned_systems()])
+def test_pinned_rows_share_one_solve_per_pattern(ss, monkeypatch):
+    """Rows that pin the same columns share one least-squares solve, and F
+    matches the per-row reference."""
+    with monkeypatch.context() as patch:
+        patch.setattr(realizability, "_lyapunov_f", per_row_lyapunov_f)
+        ref = compute_f(ss)
+    lam = np.linalg.eig(ss.A)[0]
+    pinned = np.abs(lam[:, None] + lam[None, :]) <= (
+        realizability.DEGENERATE_PAIR_CUTOFF * np.abs(lam).max())
+    patterns = np.unique(pinned[pinned.any(axis=1)], axis=0).shape[0]
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *args, **kwargs: calls.append(None) or lstsq(*args, **kwargs))
+    f = compute_f(ss)
+    assert 1 <= len(calls) == patterns
+    assert np.linalg.norm(f - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_compute_f_refuses_a_singular_feedthrough():
+    """D is checked by the singular-matrix rule before it is inverted."""
+    ss = example_state_space()
+    d = ss.D.copy()
+    d[-1] = 0.0
+    with pytest.raises(SingularMatrixError, match="^feedthrough D is singular to working"):
+        compute_f(StateSpace(ss.A, ss.B, ss.C, d))
+
+
 def test_compute_f_raises_when_eigendecomposition_fails(monkeypatch, tmp_path, capsys):
     _, ss = built_system(5, 3, 2)
 

@@ -65,6 +65,20 @@ def test_random_skew_nonsingular(seed, half_dim):
     assert sv[0] < 2.1
 
 
+@pytest.mark.parametrize("half_dim", [1, 2, 5, 16])
+def test_random_skew_nonsingular_matches_per_pair_reference(half_dim):
+    """The canonical block form, built one pair at a time, gives the same draw."""
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        deltas = rng.uniform(0.5, 2.0, half_dim)
+        canon = np.zeros((2 * half_dim, 2 * half_dim))
+        for i, d in enumerate(deltas):
+            canon[2 * i, 2 * i + 1] = d
+            canon[2 * i + 1, 2 * i] = -d
+        q = random_orthogonal(2 * half_dim, rng)
+        assert np.array_equal(random_skew_nonsingular(2 * half_dim, seed), q @ canon @ q.T)
+
+
 @settings(deadline=None, max_examples=20)
 @given(seeds, st.integers(1, 5))
 def test_random_symplectic(seed, half_dim):

@@ -18,6 +18,71 @@ def canonical_blocks(deltas):
     return out
 
 
+def reference_murnaghan(theta):
+    """The per-pair construction of the canonical form: one Python pass per
+    +delta eigenvector of i*Theta, each phase fixed so that the largest-norm
+    row of the pair becomes (positive, 0)."""
+    theta = 0.5 * (theta - theta.T)
+    n = theta.shape[0] // 2
+    evals, evecs = np.linalg.eigh(1j * theta)
+    order = np.argsort(evals)[::-1][:n]
+    columns = []
+    for i in order:
+        w = evecs[:, i]
+        block = np.column_stack([np.sqrt(2.0) * w.imag, np.sqrt(2.0) * w.real])
+        r = int(np.argmax(np.linalg.norm(block, axis=1)))
+        a, b = block[r, 0], block[r, 1]
+        h = np.hypot(a, b)
+        columns.append(block @ np.array([[a / h, -b / h], [b / h, a / h]]))
+    return np.hstack(columns), evals[order].astype(float)
+
+
+def reference_cholesky_like(theta):
+    """Sigma = O diag(sqrt d) P with P the interleaving permutation matrix."""
+    o, deltas = reference_murnaghan(theta)
+    n = deltas.size
+    perm = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        perm[2 * i, i] = 1.0
+        perm[2 * i + 1, n + i] = 1.0
+    return o @ np.diag(np.repeat(np.sqrt(deltas), 2)) @ perm, o, deltas
+
+
+def reference_corpus():
+    rng = np.random.default_rng(2024)
+    for dim in (2, 4, 6, 10, 16, 32, 64, 128, 256):
+        for _ in range(3 if dim > 64 else 8):
+            yield random_skew_nonsingular(dim, rng)
+        x = rng.standard_normal((dim, dim))
+        yield x - x.T
+        yield j_matrix(dim)
+        yield 3.0 * j_matrix(dim)
+
+
+def test_factorizations_match_per_pair_reference_bit_for_bit():
+    previous = None
+    for theta in reference_corpus():
+        sigma, o, deltas = reference_cholesky_like(theta)
+        got_o, got_deltas = murnaghan(theta)
+        assert np.array_equal(got_o, o) and np.array_equal(got_deltas, deltas)
+        fact = cholesky_like(theta)
+        assert np.array_equal(fact.O, o) and np.array_equal(fact.deltas, deltas)
+        assert np.array_equal(fact.Sigma, sigma)
+        if previous is not None and previous[1].shape == theta.shape:
+            ref = np.linalg.solve(previous[0].T, sigma.T).T
+            assert np.array_equal(relate_ccr(theta, previous[1]), ref)
+        previous = sigma, theta
+
+
+def test_empty_matrix_factors_to_empty_arrays():
+    o, deltas = murnaghan(np.zeros((0, 0)))
+    fact = cholesky_like(np.zeros((0, 0)))
+    for mat in (o, fact.O, fact.Sigma):
+        assert mat.shape == (0, 0)
+    for d in (deltas, fact.deltas):
+        assert d.shape == (0,) and d.dtype == float
+
+
 def test_murnaghan_already_canonical():
     theta = np.array([[0.0, 3.0], [-3.0, 0.0]])
     o, deltas = murnaghan(theta)

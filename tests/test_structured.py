@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oqho.errors import DimensionError
+from oqho.errors import DimensionError, SingularMatrixError
+from oqho.forms import AcParams, PmParams
+from oqho.realizability import check_pr_time_domain
+from oqho.skewfactor import murnaghan
+from oqho.statespace import StateSpace, inverse_realization, similarity_transform
 from oqho.structured import (
+    SINGULARITY_CUTOFF,
     StructureTolerance,
     bold_j_matrix,
     doubled_up,
@@ -23,6 +28,7 @@ from oqho.structured import (
     symplectic_residual,
     t_matrix,
 )
+from oqho.worked_example import example_state_space
 
 seeds = st.integers(0, 10**6)
 
@@ -155,3 +161,43 @@ def test_tolerance_coercion():
 def test_residuals_require_square_input():
     with pytest.raises(DimensionError):
         orthogonality_residual(np.zeros((2, 3)))
+
+
+def singular_rule_site(site, ratio):
+    """(matrix name, call) of one site of the singular-matrix rule, on a
+    matrix whose smallest/largest singular-value ratio is ``ratio``."""
+    two = np.diag([1.0, ratio])
+    theta = np.zeros((4, 4))
+    theta[0, 1], theta[2, 3] = 1.0, ratio
+    theta -= theta.T
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    stable = StateSpace(-eye, eye, eye, eye)
+    pm = PmParams(eye, np.zeros((2, 4)), np.eye(4), theta)
+    ac = AcParams(np.eye(1), np.zeros((1, 2)), np.zeros((1, 2)), eye, zero, two, zero)
+    return {
+        "inverse_realization": ("feedthrough D", lambda: inverse_realization(StateSpace.static(two))),
+        "similarity_transform": ("similarity transform", lambda: similarity_transform(stable, two)),
+        "PmParams.validate": ("commutation matrix Theta", pm.validate),
+        "check_pr_time_domain": (
+            "commutation matrix Theta", lambda: check_pr_time_domain(example_state_space(), theta)),
+        "murnaghan": ("skew matrix", lambda: murnaghan(theta)),
+        "AcParams.validate": ("ladder transformation E", ac.validate),
+    }[site]
+
+
+@pytest.mark.parametrize("site", [
+    "inverse_realization", "similarity_transform", "PmParams.validate",
+    "check_pr_time_domain", "murnaghan", "AcParams.validate",
+])
+def test_one_singular_matrix_rule_at_every_site(site):
+    """A ratio 0.1% below SINGULARITY_CUTOFF is refused in the one message
+    format; 0.1% above it is accepted."""
+    name, call = singular_rule_site(site, SINGULARITY_CUTOFF * (1.0 - 1e-3))
+    with pytest.raises(SingularMatrixError) as exc:
+        call()
+    message = str(exc.value)
+    assert message.startswith(f"{name} is singular to working precision ")
+    ratio = float(message.split("(smallest/largest singular value ")[1].rstrip(")"))
+    assert ratio == pytest.approx(SINGULARITY_CUTOFF * (1.0 - 1e-3), rel=1e-3)
+    _, call = singular_rule_site(site, SINGULARITY_CUTOFF * (1.0 + 1e-3))
+    call()

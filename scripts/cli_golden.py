@@ -11,10 +11,16 @@ block (pole pairs with l_i + l_j = 0) and three single-mode Jordan blocks
 that the CLI must refuse, drawn from no generator: a system with a singular
 feedthrough D, a rank-2 4x4 skew matrix and a non-skew matrix as commutation
 matrices, and parameter sets with a singular Theta or a singular ladder
-transformation E.  It then runs ``oqho.cli.main`` in-process for ``check``
-(frequency and ``--theta``), ``spectrum``, ``synthesize``, ``convert`` in both
-directions, ``factor`` and ``example``, and records every output file under
-``OUT/outputs`` and every exit code, stdout and stderr under ``OUT/calls``.
+transformation E.  Last come two literal scale cases, each a commutation
+matrix scale * J with one entry moved off skew symmetry: scale 1e-3 with
+relative asymmetry 1e-7, which the scale-aware structure bound refuses, and
+scale 1e3 with relative asymmetry 1e-9, which it accepts; each goes through
+``factor``, through ``check --theta`` on the reference model, and, as the
+Theta of a parameter set, through ``convert --direction pm2ac``.  It then
+runs ``oqho.cli.main`` in-process for ``check`` (frequency and ``--theta``),
+``spectrum``, ``synthesize``, ``convert`` in both directions, ``factor`` and
+``example``, and records every output file under ``OUT/outputs`` and every
+exit code, stdout and stderr under ``OUT/calls``.
 
 Two trees behave byte-identically on the corpus when
 
@@ -154,7 +160,7 @@ def build_corpus(seed: int) -> list:
             (f"{name}_spectrum", ["spectrum", "--input", path]),
             (f"{name}_synthesize", ["synthesize", "--input", path]),
         ]
-    return calls + error_calls(inputs)
+    return calls + error_calls(inputs) + scale_calls(inputs)
 
 
 def error_calls(inputs: Path) -> list:
@@ -183,6 +189,26 @@ def error_calls(inputs: Path) -> list:
         ("singular_theta_pm2ac", ["convert", "--direction", "pm2ac", "--input", pm]),
         ("singular_e_ac2pm", ["convert", "--direction", "ac2pm", "--input", ac]),
     ]
+
+
+def scale_calls(inputs: Path) -> list:
+    """Literal commutation matrices that only a scale-aware bound on their
+    skew-symmetry residual decides right, with the calls that feed them in."""
+    example = str(inputs / "example.json")
+    calls = []
+    for name, scale, asymmetry in (("small_theta", 1e-3, 1e-7),
+                                   ("large_theta", 1e3, 1e-9)):
+        mat = scale * j_matrix(4)
+        mat[0, 1] = np.sqrt(2.0) * asymmetry * scale  # |mat + mat^T| / |mat| = asymmetry
+        theta = write(inputs / f"{name}.json", jsonio.encode_real_matrix(mat))
+        pm = write(inputs / f"{name}_pm.json", jsonio.encode_pm_params(
+            PmParams(np.eye(2), 0.5 * np.ones((2, 4)), np.eye(4), mat)))
+        calls += [
+            (f"{name}_factor", ["factor", "--input", theta]),
+            (f"{name}_check", ["check", "--input", example, "--theta", theta]),
+            (f"{name}_pm2ac", ["convert", "--direction", "pm2ac", "--input", pm]),
+        ]
+    return calls
 
 
 def run(name: str, argv: list) -> None:

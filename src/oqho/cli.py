@@ -21,6 +21,7 @@ from .errors import (
     SingularMatrixError,
     StructureError,
 )
+from .forms import ac_to_pm, pm_to_ac
 from .realizability import (
     check_pr_frequency,
     check_pr_time_domain,
@@ -53,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, needs_input=True, theta=False, sampling=False,
-            direction=False):
+            direction=False, tol=True):
         p = sub.add_parser(name, help=help_text)
         if needs_input:
             p.add_argument("--input", required=True, metavar="PATH",
@@ -64,8 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--theta", metavar="{J|PATH}", default=None,
                            help="commutation matrix: the literal J or a "
                                 "real-matrix JSON file")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="residual tolerance (default 1e-8)")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-8,
+                           help="residual tolerance (default 1e-8)")
         if sampling:
             p.add_argument("--samples", type=int, default=20,
                            help="number of frequency sample points (default 20)")
@@ -80,9 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add("check", "decide realizability of a system", theta=True, sampling=True)
     add("synthesize", "recover oscillator parameters of a realizable system",
         theta=True, sampling=True)
-    add("convert", "convert between the two parameterizations", direction=True)
+    add("convert", "convert between the two parameterizations", direction=True,
+        tol=False)
     add("spectrum", "poles, zeros, mirror and genericity report")
-    add("factor", "factor a skew-symmetric commutation matrix")
+    add("factor", "factor a skew-symmetric commutation matrix", tol=False)
     add("example", "run the embedded reference model end to end",
         needs_input=False, sampling=True)
     return parser
@@ -162,21 +165,19 @@ def _cmd_synthesize(args) -> int:
 def _cmd_convert(args) -> int:
     payload = jsonio.load_path(args.input)
     kind = jsonio.detect_payload(payload)
-    from .forms import ac_to_pm, pm_to_ac
-
     if args.direction == "pm2ac":
         if kind != "pm_params":
             raise SchemaError(
                 f"direction pm2ac needs a pm_params payload, found '{kind}'"
             )
-        converted = pm_to_ac(jsonio.decode_pm_params(payload), args.tol)
+        converted = pm_to_ac(jsonio.decode_pm_params(payload))
         _emit(jsonio.dumps(jsonio.encode_ac_params(converted)), args.output)
     else:
         if kind != "ac_params":
             raise SchemaError(
                 f"direction ac2pm needs an ac_params payload, found '{kind}'"
             )
-        converted = ac_to_pm(jsonio.decode_ac_params(payload), args.tol)
+        converted = ac_to_pm(jsonio.decode_ac_params(payload))
         _emit(jsonio.dumps(jsonio.encode_pm_params(converted)), args.output)
     return EXIT_OK
 
@@ -193,7 +194,7 @@ def _cmd_factor(args) -> int:
     if jsonio.detect_payload(payload) != "real_matrix":
         raise SchemaError("factor needs a real matrix payload")
     theta = jsonio.decode_real_matrix(payload, "matrix")
-    fact = cholesky_like(theta, args.tol)
+    fact = cholesky_like(theta)
     _emit(jsonio.dumps(jsonio.encode_skew_factorization(fact)), args.output)
     sys.stderr.write(
         f"reconstruction residual: {fact.reconstruction_residual(theta):.3e}\n"

@@ -21,22 +21,25 @@ network:
   where Th = E bJ E* and bJ = diag(I, -I).
 
 The two sides are exchanged entrywise by the nabla / block-extraction maps,
-and the realizations are conjugate under the ladder change of basis T.
+and the realizations are conjugate under the ladder change of basis T.  Every
+builder and conversion first validates its parameters by the package's
+structure and singular-matrix rules in ``structured``; none takes a tolerance.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, StructureError
+from .errors import DimensionError
 from .skewfactor import cholesky_like
 from .statespace import StateSpace, _evaluate_quadruple
 from .structured import (
-    StructureTolerance,
     _min_singular_ratio,
     _require_nonsingular,
+    _require_structure,
     bold_j_matrix,
     doubled_up,
+    doubled_up_residual,
     extract_bold_blocks,
     hermitian_residual,
     j_matrix,
@@ -114,23 +117,16 @@ class PmParams:
             "theta_skew_symmetry": skew_symmetry_residual(self.Theta),
         }
 
-    def validate(self, tol=None) -> dict:
-        """Residual-checked invariants; raises on violation, returns the residuals."""
-        tol = StructureTolerance.coerce(tol)
+    def validate(self) -> dict:
+        """Check D orthosymplectic, R symmetric and Theta skew by the structure
+        rule and Theta nonsingular; raise on violation, else return the residuals."""
         res = self.structure_residuals()
-        scales = {
-            "d_orthogonality": np.linalg.norm(self.D),
-            "d_symplectic": np.linalg.norm(self.D),
-            "r_symmetry": np.linalg.norm(self.R),
-            "theta_skew_symmetry": np.linalg.norm(self.Theta),
-        }
-        bad = {k: v for k, v in res.items() if not tol.accepts(v, scales[k])}
-        if bad:
-            raise StructureError(
-                "invalid position-momentum parameters: "
-                + ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items()),
-                res,
-            )
+        _require_structure("position-momentum parameters", res, {
+            "d_orthogonality": self.D,
+            "d_symplectic": self.D,
+            "r_symmetry": self.R,
+            "theta_skew_symmetry": self.Theta,
+        })
         _require_nonsingular(_min_singular_ratio(self.Theta), "commutation matrix Theta")
         return res
 
@@ -209,25 +205,15 @@ class AcParams:
             "e_min_singular_ratio": _min_singular_ratio(self.E),
         }
 
-    def validate(self, tol=None) -> dict:
-        tol = StructureTolerance.coerce(tol)
+    def validate(self) -> dict:
+        """Check S unitary, H1 Hermitian and H2 symmetric by the structure rule
+        and E nonsingular; raise on violation, else return the residuals."""
         res = self.structure_residuals()
-        scales = {
-            "s_unitarity": np.linalg.norm(self.S),
-            "h1_hermitian": np.linalg.norm(self.H1),
-            "h2_symmetry": np.linalg.norm(self.H2),
-        }
-        bad = {
-            k: v
-            for k, v in res.items()
-            if k in scales and not tol.accepts(v, scales[k])
-        }
-        if bad:
-            raise StructureError(
-                "invalid annihilation-creation parameters: "
-                + ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items()),
-                res,
-            )
+        _require_structure("annihilation-creation parameters", res, {
+            "s_unitarity": self.S,
+            "h1_hermitian": self.H1,
+            "h2_symmetry": self.H2,
+        })
         _require_nonsingular(res["e_min_singular_ratio"], "ladder transformation E")
         return res
 
@@ -271,22 +257,16 @@ class ComplexStateSpace:
         return self.F.shape[0]
 
     def structure_residuals(self) -> dict:
-        from .structured import doubled_up_residual
-
         return {
             name: doubled_up_residual(mat) if mat.size else 0.0
             for name, mat in (("F", self.F), ("G", self.G), ("L", self.L), ("K", self.K))
         }
 
 
-def _validated_pm(params: PmParams, tol) -> PmParams:
-    params.validate(tol)
-    return params.symmetrized()
-
-
-def build_pm_realization(params: PmParams, tol=None) -> StateSpace:
+def build_pm_realization(params: PmParams) -> StateSpace:
     """Real realization (A, B, C, D) of position-momentum parameters."""
-    p = _validated_pm(params, tol)
+    params.validate()
+    p = params.symmetrized()
     if p.modes == 0:
         return StateSpace.static(p.D)
     j_ch = j_matrix(2 * p.channels)
@@ -298,9 +278,9 @@ def build_pm_realization(params: PmParams, tol=None) -> StateSpace:
     return StateSpace(a, b, c, p.D.copy())
 
 
-def build_ac_realization(params: AcParams, tol=None) -> ComplexStateSpace:
+def build_ac_realization(params: AcParams) -> ComplexStateSpace:
     """Complex realization (F, G, L, K) of annihilation-creation parameters."""
-    params.validate(tol)
+    params.validate()
     p = params.hermitized()
     m = p.channels
     k = doubled_up(p.S, np.zeros_like(p.S))
@@ -326,13 +306,13 @@ def eval_conjugate_ac_tf(css: ComplexStateSpace, s: complex) -> np.ndarray:
     return eval_ac_tf(css, -np.conj(complex(s))).conj().T
 
 
-def ac_to_pm(params: AcParams, tol=None) -> PmParams:
+def ac_to_pm(params: AcParams) -> PmParams:
     """Entrywise conversion to position-momentum parameters.
 
     D = nabla(S, 0); M = -(1/2) D^T J nabla(N1, N2); R = (1/2) nabla(H1, H2);
     Theta = nabla(E1, E2) J nabla(E1, E2)^T.
     """
-    params.validate(tol)
+    params.validate()
     p = params.hermitized()
     m, n = p.channels, p.modes
     zero_s = np.zeros_like(p.S)
@@ -348,7 +328,7 @@ def ac_to_pm(params: AcParams, tol=None) -> PmParams:
     return PmParams(d, m_mat, r, theta)
 
 
-def pm_to_ac(params: PmParams, tol=None) -> AcParams:
+def pm_to_ac(params: PmParams) -> AcParams:
     """Entrywise conversion to annihilation-creation parameters.
 
     The scattering matrix is the first extracted block of D (the second
@@ -356,7 +336,8 @@ def pm_to_ac(params: PmParams, tol=None) -> AcParams:
     square-root factorization Theta = Sigma J Sigma^T, so E is one
     deterministic representative of the symplectic gauge class.
     """
-    p = _validated_pm(params, tol)
+    params.validate()
+    p = params.symmetrized()
     m, n = p.channels, p.modes
     d1, d2 = extract_bold_blocks(p.D)
     s = d1
@@ -369,20 +350,20 @@ def pm_to_ac(params: PmParams, tol=None) -> AcParams:
     n1, n2 = n_mat[:m, :n], n_mat[:m, n:]
     r1, r2 = extract_bold_blocks(p.R)
     h1, h2 = 2.0 * r1, 2.0 * r2
-    sigma = cholesky_like(p.Theta, tol).Sigma
+    sigma = cholesky_like(p.Theta).Sigma
     e1, e2 = extract_bold_blocks(sigma)
     return AcParams(s, n1, n2, h1, h2, e1, e2)
 
 
-def pm_to_ac_realization_consistency(params: PmParams, tol=None) -> float:
+def pm_to_ac_realization_consistency(params: PmParams) -> float:
     """Largest block residual between the two realizations under the T conjugation.
 
     Builds the real quadruple from ``params`` and the complex quadruple from
     the converted parameters, then checks A = (1/2) T F T*, B = (1/2) T G T*,
     C = (1/2) T L T*, D = (1/2) T K T* with state/channel-sized T factors.
     """
-    real = build_pm_realization(params, tol)
-    css = build_ac_realization(pm_to_ac(params, tol), tol)
+    real = build_pm_realization(params)
+    css = build_ac_realization(pm_to_ac(params))
     n2, m2 = real.state_dim, real.num_outputs
     t_ch = t_matrix(m2)
     pairs = [(real.D.astype(complex), 0.5 * t_ch @ css.K @ t_ch.conj().T)]

@@ -38,7 +38,6 @@ from .errors import (
     NotRealizableError,
     SamplePlacementError,
     SingularMatrixError,
-    StructureError,
 )
 from .forms import PmParams, build_pm_realization
 from .skewfactor import relate_ccr
@@ -52,9 +51,9 @@ from .statespace import (
     spectrum_report,
 )
 from .structured import (
-    StructureTolerance,
     _min_singular_ratio,
     _require_nonsingular,
+    _require_structure,
     j_matrix,
     orthogonality_residual,
     skew_symmetry_residual,
@@ -256,12 +255,9 @@ def check_pr_time_domain(ss: StateSpace, theta, tol: float = 1e-8) -> PrReport:
         raise DimensionError(
             f"Theta must be {n2}x{n2} to match the state, got {theta.shape}"
         )
-    skew_resid = skew_symmetry_residual(theta) if n2 else 0.0
-    if n2 and skew_resid > StructureTolerance.coerce(None).bound(np.linalg.norm(theta)):
-        raise StructureError(
-            f"Theta is not skew-symmetric (residual {skew_resid:.3e})",
-            {"theta_skew_symmetry": skew_resid},
-        )
+    _require_structure("commutation matrix Theta",
+                       {"theta_skew_symmetry": skew_symmetry_residual(theta)},
+                       {"theta_skew_symmetry": theta})
     j = j_matrix(channels)
     d_orth = orthogonality_residual(ss.D)
     d_symp = symplectic_residual(ss.D)
@@ -406,7 +402,7 @@ def _solve_f(ss: StateSpace, tol: float = 1e-8):
     try:
         return gate(_lyapunov_f(ss.A, q, b_dinv, ctj))
     except (np.linalg.LinAlgError, SingularMatrixError, NotRealizableError):
-        if not ss.B.any():  # the least-squares solution of the equations is then F = 0
+        if not ss.B.any():  # the feedback shift below divides by |B|^2
             raise SingularMatrixError("similarity matrix F is singular: B = 0") from None
     # Feedback K moves the poles of a controllable pair and so splits a
     # defective eigenbasis (Wonham, IEEE TAC 12(6), 1967).  As B^T F = J D^{-1} C

@@ -5,19 +5,20 @@ Theta = O blkdiag([[0, d_i], [-d_i, 0]]) O^T with d_1 >= ... >= d_n > 0, and a
 Cholesky-like square-root factorization Theta = Sigma J Sigma^T against the
 canonical symplectic form J.  The blocks are recovered through the Hermitian
 eigenproblem of i*Theta, whose +d eigenvectors carry each invariant plane.
-The d_i, Theta's singular values, decide its invertibility by the package's
-one rule; both factorizations treat all pairs in one array pass.
+Theta's skew symmetry is accepted and the d_i, its singular values, decide
+its invertibility by the package's two rules in ``structured``; both
+factorizations treat all pairs in one array pass.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, StructureError
+from .errors import DimensionError
 from .structured import (
-    StructureTolerance,
     _min_singular_ratio,
     _require_nonsingular,
+    _require_structure,
     j_matrix,
     skew_symmetry_residual,
 )
@@ -40,7 +41,7 @@ class SkewFactorization:
         return float(np.linalg.norm(rebuilt - theta) / denom)
 
 
-def murnaghan(theta, tol=None) -> tuple[np.ndarray, np.ndarray]:
+def murnaghan(theta) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal canonical form of a nonsingular skew-symmetric matrix.
 
     Returns (O, deltas) with Theta = O blkdiag([[0, d_i], [-d_i, 0]]) O^T,
@@ -53,13 +54,8 @@ def murnaghan(theta, tol=None) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(
             f"murnaghan needs an even-dimensional square matrix, got {theta.shape}"
         )
-    tol = StructureTolerance.coerce(tol)
-    resid = skew_symmetry_residual(theta)
-    if not tol.accepts(resid, np.linalg.norm(theta)):
-        raise StructureError(
-            f"matrix is not skew-symmetric (residual {resid:.3e})",
-            {"skew_symmetry": resid},
-        )
+    _require_structure("skew matrix", {"skew_symmetry": skew_symmetry_residual(theta)},
+                       {"skew_symmetry": theta})
     theta = 0.5 * (theta - theta.T)
     n = theta.shape[0] // 2
     evals, evecs = np.linalg.eigh(1j * theta)
@@ -80,7 +76,7 @@ def murnaghan(theta, tol=None) -> tuple[np.ndarray, np.ndarray]:
     return o, deltas
 
 
-def cholesky_like(theta, tol=None) -> SkewFactorization:
+def cholesky_like(theta) -> SkewFactorization:
     """Square-root factorization Theta = Sigma J Sigma^T via the canonical form.
 
     Sigma = O diag(sqrt d_1, sqrt d_1, ..., sqrt d_n, sqrt d_n) P where P, an
@@ -88,13 +84,13 @@ def cholesky_like(theta, tol=None) -> SkewFactorization:
     2x2 blocks.  Sigma is unique only up to a symplectic right factor; this
     construction is deterministic for identical input.
     """
-    o, deltas = murnaghan(theta, tol)
+    o, deltas = murnaghan(theta)
     columns = np.arange(2 * deltas.size).reshape(-1, 2).T.ravel()
     sigma = o[:, columns] * np.tile(np.sqrt(deltas), 2)
     return SkewFactorization(Sigma=sigma, O=o, deltas=deltas)
 
 
-def relate_ccr(theta_1, theta_2, tol=None) -> np.ndarray:
+def relate_ccr(theta_1, theta_2) -> np.ndarray:
     """State transformation S with theta_1 = S theta_2 S^T.
 
     Built from the two square-root factors: S = Sigma_1 Sigma_2^{-1}.
@@ -106,6 +102,6 @@ def relate_ccr(theta_1, theta_2, tol=None) -> np.ndarray:
             f"commutation matrices must share a shape, got {theta_1.shape} "
             f"and {theta_2.shape}"
         )
-    s1 = cholesky_like(theta_1, tol).Sigma
-    s2 = cholesky_like(theta_2, tol).Sigma
+    s1 = cholesky_like(theta_1).Sigma
+    s2 = cholesky_like(theta_2).Sigma
     return np.linalg.solve(s2.T, s1.T).T

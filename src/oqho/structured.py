@@ -1,5 +1,7 @@
 """Structured constant matrices, residual-based matrix-group predicates, and
-the one rule by which the package refuses a singular matrix.
+the two rules by which the package refuses a matrix: one for a structure
+residual (orthogonality, symmetry, skew symmetry, ...) and one for a singular
+matrix.
 
 Conventions: a dimension-2k quadrature vector is ordered as k positions
 followed by k momenta, so the symplectic form is the block matrix
@@ -7,15 +9,11 @@ followed by k momenta, so the symplectic form is the block matrix
 entries on top of their k creation partners.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError, SingularMatrixError, StructureError
 
 __all__ = [
-    "StructureTolerance",
-    "DEFAULT_TOLERANCE",
     "j_matrix",
     "bold_j_matrix",
     "t_matrix",
@@ -40,33 +38,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StructureTolerance:
-    """Residual acceptance rule: residual <= absolute + relative * scale.
-
-    ``scale`` is the Frobenius norm of the matrix under test.
-    """
-
-    absolute: float = 1e-10
-    relative: float = 1e-8
-
-    def bound(self, scale: float) -> float:
-        return self.absolute + self.relative * float(scale)
-
-    def accepts(self, residual: float, scale: float) -> bool:
-        return residual <= self.bound(scale)
-
-    @staticmethod
-    def coerce(tol) -> "StructureTolerance":
-        """Accept a StructureTolerance, a bare float (absolute), or None (default)."""
-        if tol is None:
-            return DEFAULT_TOLERANCE
-        if isinstance(tol, StructureTolerance):
-            return tol
-        return StructureTolerance(absolute=float(tol), relative=0.0)
-
-
-DEFAULT_TOLERANCE = StructureTolerance()
+# Every structure decision of the package: a residual of the matrix X is
+# accepted up to STRUCTURE_ABSOLUTE + STRUCTURE_RELATIVE * ||X||_F.
+STRUCTURE_ABSOLUTE = 1e-10
+STRUCTURE_RELATIVE = 1e-8
 
 # Every invertibility decision of the package: a smallest/largest singular-value
 # ratio at or below this makes a matrix singular to working precision (the SVD
@@ -74,6 +49,21 @@ DEFAULT_TOLERANCE = StructureTolerance()
 SINGULARITY_CUTOFF = 1e-12
 
 _fro = np.linalg.norm
+
+
+def _structure_bound(mat) -> float:
+    """Largest structure residual accepted for the matrix ``mat``."""
+    return STRUCTURE_ABSOLUTE + STRUCTURE_RELATIVE * float(_fro(mat))
+
+
+def _require_structure(name: str, residuals: dict, matrices: dict) -> None:
+    """Refuse ``name`` when the residual under a key of ``matrices`` exceeds the
+    bound of the matrix there; the StructureError carries all ``residuals``."""
+    bounds = {key: _structure_bound(mat) for key, mat in matrices.items()}
+    failures = [f"{key} residual {residuals[key]:.3e} above bound {bound:.3e}"
+                for key, bound in bounds.items() if not residuals[key] <= bound]
+    if failures:
+        raise StructureError(f"invalid {name}: " + ", ".join(failures), residuals)
 
 
 def _min_singular_ratio(x) -> float:
@@ -214,40 +204,33 @@ def doubled_up_residual(mat) -> float:
     return float(_fro(mat - doubled_up(mat[:j, :k], mat[:j, k:])))
 
 
-def is_orthogonal(mat, tol=None) -> bool:
-    tol = StructureTolerance.coerce(tol)
-    return tol.accepts(orthogonality_residual(mat), _fro(np.asarray(mat, dtype=float)))
+def is_orthogonal(mat) -> bool:
+    return orthogonality_residual(mat) <= _structure_bound(mat)
 
 
-def is_unitary(mat, tol=None) -> bool:
-    tol = StructureTolerance.coerce(tol)
-    return tol.accepts(unitarity_residual(mat), _fro(np.asarray(mat, dtype=complex)))
+def is_unitary(mat) -> bool:
+    return unitarity_residual(mat) <= _structure_bound(mat)
 
 
-def is_symplectic(mat, tol=None) -> bool:
-    tol = StructureTolerance.coerce(tol)
-    return tol.accepts(symplectic_residual(mat), _fro(np.asarray(mat, dtype=float)))
+def is_symplectic(mat) -> bool:
+    return symplectic_residual(mat) <= _structure_bound(mat)
 
 
-def is_orthosymplectic(mat, tol=None) -> bool:
-    return is_orthogonal(mat, tol) and is_symplectic(mat, tol)
+def is_orthosymplectic(mat) -> bool:
+    return is_orthogonal(mat) and is_symplectic(mat)
 
 
-def is_skew_symmetric(mat, tol=None) -> bool:
-    tol = StructureTolerance.coerce(tol)
-    return tol.accepts(skew_symmetry_residual(mat), _fro(np.asarray(mat)))
+def is_skew_symmetric(mat) -> bool:
+    return skew_symmetry_residual(mat) <= _structure_bound(mat)
 
 
-def is_symmetric(mat, tol=None) -> bool:
-    tol = StructureTolerance.coerce(tol)
-    return tol.accepts(symmetry_residual(mat), _fro(np.asarray(mat)))
+def is_symmetric(mat) -> bool:
+    return symmetry_residual(mat) <= _structure_bound(mat)
 
 
-def is_hermitian(mat, tol=None) -> bool:
-    tol = StructureTolerance.coerce(tol)
-    return tol.accepts(hermitian_residual(mat), _fro(np.asarray(mat, dtype=complex)))
+def is_hermitian(mat) -> bool:
+    return hermitian_residual(mat) <= _structure_bound(mat)
 
 
-def is_doubled_up(mat, tol=None) -> bool:
-    tol = StructureTolerance.coerce(tol)
-    return tol.accepts(doubled_up_residual(mat), _fro(np.asarray(mat, dtype=complex)))
+def is_doubled_up(mat) -> bool:
+    return doubled_up_residual(mat) <= _structure_bound(mat)

@@ -10,7 +10,9 @@ import pytest
 import oqho
 from oqho import jsonio
 from oqho.cli import main
-from oqho.forms import build_pm_realization
+from oqho.errors import StructureError
+from oqho.forms import PmParams, build_pm_realization, pm_to_ac
+from oqho.skewfactor import cholesky_like
 from oqho.statespace import StateSpace
 from oqho.structured import j_matrix
 from oqho.worked_example import (
@@ -209,6 +211,64 @@ def test_factor_rejects_non_skew(tmp_path, capsys):
     code, _, err = run(capsys, "factor", "--input", path)
     assert code == 2
     assert "skew" in err
+
+
+def scaled_theta(scale, asymmetry):
+    """scale * J with one entry moved so that |Theta + Theta^T| / |Theta| is
+    ``asymmetry``."""
+    theta = scale * j_matrix(4)
+    theta[0, 1] = np.sqrt(2.0) * asymmetry * scale
+    return theta
+
+
+@pytest.mark.parametrize("scale, asymmetry, want", [(1e-3, 1e-7, 2), (1e3, 1e-9, 0)])
+def test_factor_and_convert_decide_like_the_library(tmp_path, capsys, scale,
+                                                    asymmetry, want):
+    """The asymmetry is measured against the same scale-aware bound as in
+    cholesky_like and pm_to_ac: refused for a small Theta, accepted for a
+    large one."""
+    theta = scaled_theta(scale, asymmetry)
+    params = PmParams(np.eye(2), 0.5 * np.ones((2, 4)), np.eye(4), theta)
+    for library_call in (lambda: cholesky_like(theta), lambda: pm_to_ac(params)):
+        if want:
+            with pytest.raises(StructureError):
+                library_call()
+        else:
+            library_call()
+    theta_path = write(tmp_path, "theta.json", jsonio.encode_real_matrix(theta))
+    pm_path = write(tmp_path, "pm.json", jsonio.encode_pm_params(params))
+    code, _, _ = run(capsys, "factor", "--input", theta_path)
+    assert code == want
+    code, _, err = run(capsys, "convert", "--direction", "pm2ac", "--input", pm_path)
+    assert code == want
+    assert ("skew_symmetry residual" in err) == bool(want)
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor"],
+    ["convert", "--direction", "pm2ac"],
+])
+def test_tol_is_a_usage_error_where_it_gates_no_verdict(tmp_path, capsys, argv):
+    path = write(tmp_path, "j.json", jsonio.encode_real_matrix(j_matrix(4)))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", path, "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, tol, want", [
+    (["check", "--input", "SYSTEM"], "1e-8", 0),
+    (["check", "--input", "SYSTEM", "--theta", "J"], "1e-8", 1),
+    (["check", "--input", "SYSTEM", "--theta", "J"], "4.0", 0),
+    (["synthesize", "--input", "SYSTEM"], "1e-8", 0),
+    (["example"], "1e-8", 0),
+])
+def test_tol_gates_the_verdict_commands(system_file, capsys, argv, tol, want):
+    """The reference model's time-domain residuals against J are at most
+    sqrt(10), so --tol 4 passes them."""
+    argv = [system_file if a == "SYSTEM" else a for a in argv]
+    code, _, _ = run(capsys, *argv, "--tol", tol)
+    assert code == want
 
 
 def test_reports_are_byte_identical_across_runs(system_file, capsys):

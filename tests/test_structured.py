@@ -2,18 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oqho.errors import DimensionError, SingularMatrixError
+from oqho.errors import DimensionError, SingularMatrixError, StructureError
 from oqho.forms import AcParams, PmParams
 from oqho.realizability import check_pr_time_domain
-from oqho.skewfactor import murnaghan
+from oqho.skewfactor import cholesky_like, murnaghan
 from oqho.statespace import StateSpace, inverse_realization, similarity_transform
 from oqho.structured import (
     SINGULARITY_CUTOFF,
-    StructureTolerance,
+    STRUCTURE_ABSOLUTE,
+    STRUCTURE_RELATIVE,
+    _structure_bound,
     bold_j_matrix,
     doubled_up,
     doubled_up_residual,
     extract_bold_blocks,
+    hermitian_residual,
     is_doubled_up,
     is_hermitian,
     is_orthogonal,
@@ -25,8 +28,11 @@ from oqho.structured import (
     j_matrix,
     nabla,
     orthogonality_residual,
+    skew_symmetry_residual,
+    symmetry_residual,
     symplectic_residual,
     t_matrix,
+    unitarity_residual,
 )
 from oqho.worked_example import example_state_space
 
@@ -147,15 +153,128 @@ def test_is_doubled_up_detects_pattern_violation():
     assert not is_doubled_up(x)
 
 
-def test_tolerance_coercion():
-    tol = StructureTolerance.coerce(None)
-    assert tol.absolute == 1e-10 and tol.relative == 1e-8
-    tol = StructureTolerance.coerce(1e-3)
-    assert tol.absolute == 1e-3 and tol.relative == 0.0
-    same = StructureTolerance(absolute=1.0, relative=2.0)
-    assert StructureTolerance.coerce(same) is same
-    assert same.bound(10.0) == 21.0
-    assert same.accepts(21.0, 10.0) and not same.accepts(21.01, 10.0)
+def test_structure_bound_constants():
+    assert STRUCTURE_ABSOLUTE == 1e-10 and STRUCTURE_RELATIVE == 1e-8
+    assert _structure_bound(np.diag([6.0, 8.0])) == 1e-10 + 1e-8 * 10.0
+
+
+def unit(i, j):
+    e = np.zeros((4, 4))
+    e[i, j] = 1.0
+    return e
+
+
+def q_rotation(eps):
+    """Rotation of the two positions alone: orthogonal, not symplectic."""
+    d = np.eye(4)
+    d[:2, :2] = [[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]]
+    return d
+
+
+_HERMITIAN = (np.diag([1.0, -3.0, 2.0, 0.5])
+              + (2.0 - 1.0j) * unit(0, 1) + (2.0 + 1.0j) * unit(1, 0))
+_DOUBLED = doubled_up(np.array([[1 + 1j, 0.5], [0.0, 2.0]]),
+                      np.array([[0.3, 1j], [0.2, 0.0]]))
+
+# 4x4 matrix families moved off their structure by eps: (matrix of eps, residual).
+STRUCTURE_FAMILIES = {
+    "shear": (lambda eps: np.eye(4) + eps * unit(0, 2), orthogonality_residual),
+    "q_rotation": (q_rotation, symplectic_residual),
+    "symmetric": (lambda eps: 3.0 * np.eye(4) + eps * unit(0, 1), symmetry_residual),
+    "skew": (lambda eps: 2.0 * j_matrix(4) + eps * unit(0, 1), skew_symmetry_residual),
+    "unitary": (lambda eps: (1.0 + eps) * np.diag(np.exp([0.3j, -1.1j, 0.7j, 2.0j])),
+                unitarity_residual),
+    "hermitian": (lambda eps: _HERMITIAN + 1j * eps * unit(0, 1), hermitian_residual),
+    "doubled_up": (lambda eps: _DOUBLED + eps * unit(3, 3), doubled_up_residual),
+}
+
+
+def at_bound(family, fraction):
+    """The member of ``family`` whose residual is ``fraction`` times its
+    structure bound, the bound computed here from the two constants."""
+    make, residual = STRUCTURE_FAMILIES[family]
+
+    def ratio(eps):
+        mat = make(eps)
+        bound = STRUCTURE_ABSOLUTE + STRUCTURE_RELATIVE * np.linalg.norm(mat)
+        return residual(mat) / bound
+
+    lo, hi = 0.0, 1e-4
+    assert ratio(lo) < fraction < ratio(hi)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ratio(mid) < fraction else (lo, mid)
+    assert ratio(hi) == pytest.approx(fraction, rel=1e-6)
+    return make(hi)
+
+
+_PM = {"D": np.eye(4), "M": np.zeros((4, 4)), "R": 3.0 * np.eye(4),
+       "Theta": 2.0 * j_matrix(4)}
+_AC = {"S": np.eye(4), "N1": np.zeros((4, 4)), "N2": np.zeros((4, 4)), "H1": np.eye(4),
+       "H2": np.zeros((4, 4)), "E1": np.eye(4), "E2": np.zeros((4, 4))}
+
+# site: (family, name of the refused object, residual key, call on the matrix)
+STRUCTURE_SITES = {
+    "PmParams.validate D orthogonal": (
+        "shear", "position-momentum parameters", "d_orthogonality",
+        lambda x: PmParams(**{**_PM, "D": x}).validate()),
+    "PmParams.validate D symplectic": (
+        "q_rotation", "position-momentum parameters", "d_symplectic",
+        lambda x: PmParams(**{**_PM, "D": x}).validate()),
+    "PmParams.validate R symmetric": (
+        "symmetric", "position-momentum parameters", "r_symmetry",
+        lambda x: PmParams(**{**_PM, "R": x}).validate()),
+    "PmParams.validate Theta skew": (
+        "skew", "position-momentum parameters", "theta_skew_symmetry",
+        lambda x: PmParams(**{**_PM, "Theta": x}).validate()),
+    "AcParams.validate S unitary": (
+        "unitary", "annihilation-creation parameters", "s_unitarity",
+        lambda x: AcParams(**{**_AC, "S": x}).validate()),
+    "AcParams.validate H1 Hermitian": (
+        "hermitian", "annihilation-creation parameters", "h1_hermitian",
+        lambda x: AcParams(**{**_AC, "H1": x}).validate()),
+    "AcParams.validate H2 symmetric": (
+        "symmetric", "annihilation-creation parameters", "h2_symmetry",
+        lambda x: AcParams(**{**_AC, "H2": x}).validate()),
+    "murnaghan": ("skew", "skew matrix", "skew_symmetry", murnaghan),
+    "cholesky_like": ("skew", "skew matrix", "skew_symmetry", cholesky_like),
+    "check_pr_time_domain": (
+        "skew", "commutation matrix Theta", "theta_skew_symmetry",
+        lambda x: check_pr_time_domain(example_state_space(), x)),
+}
+
+
+@pytest.mark.parametrize("site", list(STRUCTURE_SITES))
+def test_one_structure_rule_at_every_site(site):
+    """A residual 0.1% below its bound is accepted; 0.1% above it is refused
+    in the one message format, naming the residual and its bound."""
+    family, name, key, call = STRUCTURE_SITES[site]
+    call(at_bound(family, 1.0 - 1e-3))
+    mat = at_bound(family, 1.0 + 1e-3)
+    with pytest.raises(StructureError) as exc:
+        call(mat)
+    residual = exc.value.residuals[key]
+    bound = STRUCTURE_ABSOLUTE + STRUCTURE_RELATIVE * np.linalg.norm(mat)
+    assert residual == pytest.approx((1.0 + 1e-3) * bound, rel=1e-6)
+    assert str(exc.value) == (
+        f"invalid {name}: {key} residual {residual:.3e} above bound {bound:.3e}"
+    )
+
+
+@pytest.mark.parametrize("predicate, family", [
+    (is_orthogonal, "shear"),
+    (is_unitary, "unitary"),
+    (is_symplectic, "q_rotation"),
+    (is_orthosymplectic, "shear"),
+    (is_orthosymplectic, "q_rotation"),
+    (is_skew_symmetric, "skew"),
+    (is_symmetric, "symmetric"),
+    (is_hermitian, "hermitian"),
+    (is_doubled_up, "doubled_up"),
+])
+def test_predicates_share_the_structure_bound(predicate, family):
+    assert predicate(at_bound(family, 1.0 - 1e-3)) is True
+    assert predicate(at_bound(family, 1.0 + 1e-3)) is False
 
 
 def test_residuals_require_square_input():

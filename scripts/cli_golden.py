@@ -16,7 +16,14 @@ matrix scale * J with one entry moved off skew symmetry: scale 1e-3 with
 relative asymmetry 1e-7, which the scale-aware structure bound refuses, and
 scale 1e3 with relative asymmetry 1e-9, which it accepts; each goes through
 ``factor``, through ``check --theta`` on the reference model, and, as the
-Theta of a parameter set, through ``convert --direction pm2ac``.  It then
+Theta of a parameter set, through ``convert --direction pm2ac``.  Then come
+literal zero-size cases: a static PR system and a static non-orthogonal one
+(each through ``check``, ``check --theta J``, ``spectrum``, ``synthesize``
+and ``synthesize --theta`` with a 0x0 file), 0-mode parameter sets in both
+forms through ``convert``, ``factor`` of a 0x0 matrix, and a 2-state system
+with no channels through ``check``.  Last, the reference model with one
+entry made non-finite (NaN in B, NaN in D, Infinity in D, NaN in A) goes
+through ``check``, ``check --theta J`` and ``synthesize``.  It then
 runs ``oqho.cli.main`` in-process for ``check`` (frequency and ``--theta``),
 ``spectrum``, ``synthesize``, ``convert`` in both directions, ``factor`` and
 ``example``, and records every output file under ``OUT/outputs`` and every
@@ -160,7 +167,8 @@ def build_corpus(seed: int) -> list:
             (f"{name}_spectrum", ["spectrum", "--input", path]),
             (f"{name}_synthesize", ["synthesize", "--input", path]),
         ]
-    return calls + error_calls(inputs) + scale_calls(inputs)
+    return (calls + error_calls(inputs) + scale_calls(inputs) + zero_size_calls(inputs)
+            + non_finite_calls(inputs))
 
 
 def error_calls(inputs: Path) -> list:
@@ -207,6 +215,50 @@ def scale_calls(inputs: Path) -> list:
             (f"{name}_factor", ["factor", "--input", theta]),
             (f"{name}_check", ["check", "--input", example, "--theta", theta]),
             (f"{name}_pm2ac", ["convert", "--direction", "pm2ac", "--input", pm]),
+        ]
+    return calls
+
+
+def zero_size_calls(inputs: Path) -> list:
+    """Literal systems, parameter sets and matrices with no states or no modes,
+    and a system with no channels, with the calls that feed them in."""
+    empty = write(inputs / "empty_matrix.json", jsonio.encode_real_matrix(np.zeros((0, 0))))
+    calls = [("empty_matrix_factor", ["factor", "--input", empty])]
+    for name, d in (("static_pr", j_matrix(4)), ("static_not_pr", np.diag([2.0, 0.5]))):
+        path = write(inputs / f"{name}.json", jsonio.encode_state_space(StateSpace.static(d)))
+        calls += [
+            (f"{name}_check", ["check", "--input", path]),
+            (f"{name}_check_theta", ["check", "--input", path, "--theta", "J"]),
+            (f"{name}_spectrum", ["spectrum", "--input", path]),
+            (f"{name}_synthesize", ["synthesize", "--input", path]),
+            (f"{name}_synthesize_theta", ["synthesize", "--input", path, "--theta", empty]),
+        ]
+    z = np.zeros((0, 0))
+    static_pm = PmParams(j_matrix(4), np.zeros((4, 0)), z, z)
+    static_ac = AcParams(np.eye(2), np.zeros((2, 0)), np.zeros((2, 0)), z, z, z, z)
+    pm = write(inputs / "static_pm.json", jsonio.encode_pm_params(static_pm))
+    ac = write(inputs / "static_ac.json", jsonio.encode_ac_params(static_ac))
+    no_channels = write(inputs / "no_channels.json", jsonio.encode_state_space(
+        StateSpace(np.diag([-1.0, 3.0]), np.zeros((2, 0)), np.zeros((0, 2)), z)))
+    return calls + [
+        ("static_pm2ac", ["convert", "--direction", "pm2ac", "--input", pm]),
+        ("static_ac2pm", ["convert", "--direction", "ac2pm", "--input", ac]),
+        ("no_channels_check", ["check", "--input", no_channels]),
+    ]
+
+
+def non_finite_calls(inputs: Path) -> list:
+    """The reference model with one non-finite entry, with the calls that feed it in."""
+    calls = []
+    for key, value in (("B", np.nan), ("D", np.nan), ("D", np.inf), ("A", np.nan)):
+        ss = example_state_space()
+        getattr(ss, key)[0, 0] = value
+        name = f"{str(value).lower()}_in_{key}"
+        path = write(inputs / f"{name}.json", jsonio.encode_state_space(ss))
+        calls += [
+            (f"{name}_check", ["check", "--input", path]),
+            (f"{name}_check_theta", ["check", "--input", path, "--theta", "J"]),
+            (f"{name}_synthesize", ["synthesize", "--input", path]),
         ]
     return calls
 

@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         theta=True, sampling=True)
     add("convert", "convert between the two parameterizations", direction=True,
         tol=False)
-    add("spectrum", "poles, zeros, mirror and genericity report")
+    add("spectrum", "poles, zeros, mirror and genericity report", tol=False)
     add("factor", "factor a skew-symmetric commutation matrix", tol=False)
     add("example", "run the embedded reference model end to end",
         needs_input=False, sampling=True)
@@ -106,7 +106,7 @@ def _fail(message: str) -> int:
 
 def _resolve_theta(selector: str, dim: int) -> np.ndarray:
     if selector == "J":
-        return j_matrix(dim) if dim else np.zeros((0, 0))
+        return j_matrix(dim)
     payload = jsonio.load_path(selector)
     if jsonio.detect_payload(payload) != "real_matrix":
         raise SchemaError(f"{selector} does not hold a real matrix payload")

@@ -24,6 +24,8 @@ The two sides are exchanged entrywise by the nabla / block-extraction maps,
 and the realizations are conjugate under the ladder change of basis T.  Every
 builder and conversion first validates its parameters by the package's
 structure and singular-matrix rules in ``structured``; none takes a tolerance.
+A parameter set may have no modes (a static network, whose realization is
+D alone) and takes the same formulas then; it needs at least one channel.
 """
 
 from dataclasses import dataclass
@@ -90,6 +92,8 @@ class PmParams:
         self.Theta = np.asarray(self.Theta, dtype=float)
         if self.D.ndim != 2 or self.D.shape[0] != self.D.shape[1] or self.D.shape[0] % 2:
             raise DimensionError(f"D must be even square, got {self.D.shape}")
+        if not self.D.size:
+            raise DimensionError("D must be non-empty: at least one channel pair")
         if self.R.ndim != 2 or self.R.shape[0] != self.R.shape[1] or self.R.shape[0] % 2:
             raise DimensionError(f"R must be even square, got {self.R.shape}")
         if self.Theta.shape != self.R.shape:
@@ -158,6 +162,8 @@ class AcParams:
         m = self.S.shape[0]
         if self.S.shape != (m, m):
             raise DimensionError(f"S must be square, got {self.S.shape}")
+        if not m:
+            raise DimensionError("S must be non-empty: at least one channel")
         n = self.H1.shape[0]
         for name in ("H1", "H2", "E1", "E2"):
             if getattr(self, name).shape != (n, n):
@@ -192,15 +198,13 @@ class AcParams:
 
     def theta(self) -> np.ndarray:
         """Complex commutation matrix E bJ E* of the ladder variables."""
-        if self.modes == 0:
-            return np.zeros((0, 0), dtype=complex)
         e = self.E
         return e @ bold_j_matrix(2 * self.modes) @ e.conj().T
 
     def structure_residuals(self) -> dict:
         return {
             "s_unitarity": unitarity_residual(self.S),
-            "h1_hermitian": hermitian_residual(self.H1) if self.modes else 0.0,
+            "h1_hermitian": hermitian_residual(self.H1),
             "h2_symmetry": float(np.linalg.norm(self.H2 - self.H2.T)),
             "e_min_singular_ratio": _min_singular_ratio(self.E),
         }
@@ -258,7 +262,7 @@ class ComplexStateSpace:
 
     def structure_residuals(self) -> dict:
         return {
-            name: doubled_up_residual(mat) if mat.size else 0.0
+            name: doubled_up_residual(mat)
             for name, mat in (("F", self.F), ("G", self.G), ("L", self.L), ("K", self.K))
         }
 
@@ -267,8 +271,6 @@ def build_pm_realization(params: PmParams) -> StateSpace:
     """Real realization (A, B, C, D) of position-momentum parameters."""
     params.validate()
     p = params.symmetrized()
-    if p.modes == 0:
-        return StateSpace.static(p.D)
     j_ch = j_matrix(2 * p.channels)
     theta_inv = np.linalg.inv(p.Theta)
     b = 2.0 * p.Theta @ p.M.T
@@ -282,13 +284,8 @@ def build_ac_realization(params: AcParams) -> ComplexStateSpace:
     """Complex realization (F, G, L, K) of annihilation-creation parameters."""
     params.validate()
     p = params.hermitized()
-    m = p.channels
     k = doubled_up(p.S, np.zeros_like(p.S))
-    if p.modes == 0:
-        z = np.zeros((0, 0), dtype=complex)
-        return ComplexStateSpace(z, np.zeros((0, 2 * m), dtype=complex),
-                                 np.zeros((2 * m, 0), dtype=complex), k)
-    bj_ch = bold_j_matrix(2 * m)
+    bj_ch = bold_j_matrix(2 * p.channels)
     theta_c = p.theta()
     n_mat = p.N
     f = -1j * theta_c @ p.H - 0.5 * theta_c @ n_mat.conj().T @ bj_ch @ n_mat
@@ -317,8 +314,6 @@ def ac_to_pm(params: AcParams) -> PmParams:
     m, n = p.channels, p.modes
     zero_s = np.zeros_like(p.S)
     d = nabla(p.S, zero_s)
-    if n == 0:
-        return PmParams(d, np.zeros((2 * m, 0)), np.zeros((0, 0)), np.zeros((0, 0)))
     j_ch = j_matrix(2 * m)
     j_state = j_matrix(2 * n)
     m_mat = -0.5 * d.T @ j_ch @ nabla(p.N1, p.N2)
@@ -341,10 +336,6 @@ def pm_to_ac(params: PmParams) -> AcParams:
     m, n = p.channels, p.modes
     d1, d2 = extract_bold_blocks(p.D)
     s = d1
-    if n == 0:
-        zmn = np.zeros((m, 0), dtype=complex)
-        z = np.zeros((0, 0), dtype=complex)
-        return AcParams(s, zmn, zmn, z, z, z, z)
     m1, m2 = extract_bold_blocks(p.M)
     n_mat = -2j * doubled_up(s, np.zeros_like(s)) @ bold_j_matrix(2 * m) @ doubled_up(m1, m2)
     n1, n2 = n_mat[:m, :n], n_mat[:m, n:]
@@ -364,16 +355,11 @@ def pm_to_ac_realization_consistency(params: PmParams) -> float:
     """
     real = build_pm_realization(params)
     css = build_ac_realization(pm_to_ac(params))
-    n2, m2 = real.state_dim, real.num_outputs
-    t_ch = t_matrix(m2)
-    pairs = [(real.D.astype(complex), 0.5 * t_ch @ css.K @ t_ch.conj().T)]
-    if n2:
-        t_st = t_matrix(n2)
-        pairs.extend(
-            [
-                (real.A.astype(complex), 0.5 * t_st @ css.F @ t_st.conj().T),
-                (real.B.astype(complex), 0.5 * t_st @ css.G @ t_ch.conj().T),
-                (real.C.astype(complex), 0.5 * t_ch @ css.L @ t_st.conj().T),
-            ]
-        )
+    t_st, t_ch = t_matrix(real.state_dim), t_matrix(real.num_outputs)
+    pairs = [
+        (real.D, 0.5 * t_ch @ css.K @ t_ch.conj().T),
+        (real.A, 0.5 * t_st @ css.F @ t_st.conj().T),
+        (real.B, 0.5 * t_st @ css.G @ t_ch.conj().T),
+        (real.C, 0.5 * t_ch @ css.L @ t_st.conj().T),
+    ]
     return max(float(np.linalg.norm(x - y)) for x, y in pairs)

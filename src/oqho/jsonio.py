@@ -11,10 +11,12 @@ Fixed field names, shared by the library and the CLI:
 * skew factorization {"Sigma", "O", "deltas"}
 
 Complex scalars are encoded as {"re", "im"}.  ``dumps`` sorts keys so equal
-values serialize to identical bytes.
+values serialize to identical bytes.  ``load_path`` refuses non-finite
+numbers: NaN, Infinity, -Infinity and literals that overflow a double.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -72,6 +74,17 @@ _FINGERPRINTS = {
 }
 
 
+def _finite(literal: str) -> float:
+    """JSON float and constant hook: refuse a value that is not a finite double."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise SchemaError(f"non-finite number {literal}")
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
+
+
 def dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -79,10 +92,10 @@ def dumps(payload) -> str:
 def load_path(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return _DECODER.decode(fh.read())
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, SchemaError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -118,7 +131,7 @@ def _as_grid(value, field, rows=None, cols=None):
         raise SchemaError(f"field '{field}' must be a list of rows")
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"field '{field}' contains a non-numeric entry: {exc}") from exc
     if arr.size == 0:
         arr = arr.reshape((len(value), 0) if rows is None else (rows, cols or 0))

@@ -195,7 +195,7 @@ def check_jj_unitary(ss: StateSpace, num_samples: int = 20, tol: float = 1e-8,
     channels = ss.require_square_channels()
     j = j_matrix(channels)
     lam = poles(ss)
-    avoid = np.concatenate([lam, -lam.conj()]) if lam.size else lam
+    avoid = np.concatenate([lam, -lam.conj()])
     pts = draw_sample_points(avoid, num_samples, seed)
     # SAMPLE_EXCLUSION > RESOLVENT_GUARD * (1 + |s|): no point trips the G or G~ guard
     g = _evaluate_quadruple(ss.A, ss.B, ss.C, ss.D, pts, lam)
@@ -204,7 +204,7 @@ def check_jj_unitary(ss: StateSpace, num_samples: int = 20, tol: float = 1e-8,
     defects = np.concatenate(
         [_frobenius_norms(g_conj @ j @ g - j), _frobenius_norms(g @ j @ g_conj - j)]
     )
-    max_resid = max([0.0, *defects.tolist()])
+    max_resid = float(np.max(defects, initial=0.0))
     return JjUnitarityResult(max_resid <= tol, max_resid, pts)
 
 
@@ -229,7 +229,7 @@ def check_pr_frequency(ss: StateSpace, tol: float = 1e-8, num_samples: int = 20,
         )
     conditions["jj_unitarity"] = jj.max_residual
     failures = []
-    if d_orth > tol:
+    if not d_orth <= tol:
         failures.append(f"feedthrough is not orthogonal (residual {d_orth:.3e})")
     if not jj.passed:
         failures.append(
@@ -262,7 +262,7 @@ def check_pr_time_domain(ss: StateSpace, theta, tol: float = 1e-8) -> PrReport:
     d_orth = orthogonality_residual(ss.D)
     d_symp = symplectic_residual(ss.D)
     conditions = {"d_orthogonality": d_orth, "d_symplectic": d_symp}
-    if n2:
+    if n2:  # a static report carries the D conditions only
         _require_nonsingular(_min_singular_ratio(theta), "commutation matrix Theta")
         theta_inv = np.linalg.inv(theta)
         bjbt = ss.B @ j @ ss.B.T
@@ -282,7 +282,7 @@ def check_pr_time_domain(ss: StateSpace, theta, tol: float = 1e-8) -> PrReport:
     failures = {
         k: v
         for k, v in conditions.items()
-        if v > tol
+        if not v <= tol
     }
     reason = None
     if failures:
@@ -385,11 +385,11 @@ def _solve_f(ss: StateSpace, tol: float = 1e-8):
         f_inv = np.linalg.inv(f)
         diagnostics = _f_equation_residuals(ss, j, b_dinv, dinv_c, a_inv, f, f_inv)
         diagnostics["f_raw_asymmetry"] = asym
-        worst = max(
+        worst = float(np.max([
             diagnostics[k]
             for k in ("f_eq_output_coupling", "f_eq_input_coupling", "f_eq_state_similarity")
-        )
-        if worst > tol:
+        ]))
+        if not worst <= tol:
             raise NotRealizableError(
                 f"no skew similarity solves the realizability equations "
                 f"(worst residual {worst:.3e}); the system is not realizable or "
@@ -454,7 +454,7 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = 1e-8,
     n2 = work.state_dim
     channels = work.num_outputs
     if theta_target is None:
-        theta_target = j_matrix(n2) if n2 else np.zeros((0, 0))
+        theta_target = j_matrix(n2)
     theta_target = np.asarray(theta_target, dtype=float)
     if theta_target.shape != (n2, n2):
         raise DimensionError(
@@ -510,12 +510,12 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = 1e-8,
     ref = _evaluate_quadruple(work.A, work.B, work.C, work.D, pts, lam_work)
     got = _evaluate_quadruple(rebuilt.A, rebuilt.B, rebuilt.C, rebuilt.D, pts, lam_rebuilt)
     devs = _frobenius_norms(got - ref) / np.fmax(1.0, _frobenius_norms(ref))
-    max_dev = max([0.0, *devs.tolist()])
+    max_dev = float(np.max(devs, initial=0.0))
     residuals = dict(diagnostics)
     residuals["rhat_symmetry"] = rhat_sym
     residuals["ccr_factorization"] = fact_resid
     residuals["rebuild_max_relative_deviation"] = max_dev
-    if max_dev > REBUILD_TOLERANCE:
+    if not max_dev <= REBUILD_TOLERANCE:
         raise NotRealizableError(
             f"internal verification failed: rebuilt transfer function deviates "
             f"by {max_dev:.3e}"

@@ -63,7 +63,7 @@ def murnaghan(theta) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(evals)[::-1][:n]
     deltas = evals[order].astype(float)
     _require_nonsingular(_min_singular_ratio(deltas), "skew matrix")
-    if n == 0:
+    if n == 0:  # the argmax below has no row to take
         return np.zeros((0, 0)), deltas
     # The column pair (sqrt2 Im w, sqrt2 Re w) of each +delta eigenvector w is
     # rotated by the phase that makes its largest-norm row (positive, 0), so

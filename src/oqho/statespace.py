@@ -103,7 +103,7 @@ class StateSpace:
         return StateSpace(np.zeros((0, 0)), np.zeros((0, p)), np.zeros((q, 0)), d)
 
     def require_square_channels(self) -> int:
-        """Channel count sanity for quantum-model use: square, even IO, even state."""
+        """Channel count sanity for quantum-model use: square, even nonzero IO, even state."""
         if self.num_inputs != self.num_outputs:
             raise DimensionError(
                 f"square system required, got {self.num_outputs}x{self.num_inputs}"
@@ -113,6 +113,8 @@ class StateSpace:
                 "quadrature model needs even state and channel dimensions, got "
                 f"state {self.state_dim}, channels {self.num_outputs}"
             )
+        if not self.num_outputs:
+            raise DimensionError("quadrature model needs at least one channel pair, got 0")
         return self.num_outputs
 
 
@@ -170,7 +172,7 @@ def _strip_leading(coeffs):
 
 def poles(ss: StateSpace) -> np.ndarray:
     """Eigenvalues of A; empty for a static system."""
-    if ss.state_dim == 0:
+    if ss.state_dim == 0:  # static checks make no LAPACK call
         return np.zeros(0, dtype=complex)
     return np.linalg.eigvals(ss.A)
 
@@ -180,20 +182,19 @@ def _evaluate_quadruple(a, b, c, d, points, lam) -> np.ndarray:
 
     ``lam`` holds the eigenvalues of ``a``.  Raises NearPoleError naming the
     first point that falls within RESOLVENT_GUARD * (1 + |s|) of one of them,
-    since the resolvent solve is meaningless there.  Real and complex
-    quadruples are both accepted.
+    and its nearest pole, since the resolvent solve is meaningless there.
+    Real and complex quadruples are both accepted.  Zero points or zero states
+    take the same path: with no state, c (sI - a)^{-1} b is an empty sum, so
+    every point gives d.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1)
     k, n = pts.size, a.shape[0]
-    d = d.astype(complex)
-    if k == 0 or n == 0:
-        return np.repeat(d[None], k, axis=0)
     dist = np.abs(lam[None, :] - pts[:, None])
-    nearest = np.argmin(dist, axis=1)
-    near = dist[np.arange(k), nearest] < RESOLVENT_GUARD * (1.0 + np.abs(pts))
+    guard = RESOLVENT_GUARD * (1.0 + np.abs(pts))
+    near = (dist < guard[:, None]).any(axis=1)
     if near.any():
         i = int(np.argmax(near))
-        raise NearPoleError(complex(pts[i]), lam[nearest[i]])
+        raise NearPoleError(complex(pts[i]), lam[np.argmin(dist[i])])
     # sI - A for every point, built in place in one (k, n, n) allocation
     shifted = np.zeros((k, n, n), dtype=complex)
     shifted -= a

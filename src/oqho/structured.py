@@ -6,7 +6,9 @@ matrix.
 Conventions: a dimension-2k quadrature vector is ordered as k positions
 followed by k momenta, so the symplectic form is the block matrix
 [[0, I], [-I, 0]].  The doubled-up complex form stacks k annihilation
-entries on top of their k creation partners.
+entries on top of their k creation partners.  Zero is an even size: with
+k = 0 the structured matrices are 0x0, so systems without dynamics and
+parameter sets without modes take the same formulas as every other size.
 """
 
 import numpy as np
@@ -77,7 +79,7 @@ def _min_singular_ratio(x) -> float:
 
 def _require_nonsingular(ratio: float, name: str) -> None:
     """Refuse the matrix ``name`` by its smallest/largest singular-value ratio."""
-    if ratio <= SINGULARITY_CUTOFF:
+    if not ratio > SINGULARITY_CUTOFF:
         raise SingularMatrixError(
             f"{name} is singular to working precision "
             f"(smallest/largest singular value {ratio:.3e})"
@@ -86,8 +88,8 @@ def _require_nonsingular(ratio: float, name: str) -> None:
 
 def _require_even(r: int, name: str) -> int:
     r = int(r)
-    if r < 2 or r % 2:
-        raise DimensionError(f"{name} requires a positive even dimension, got {r}")
+    if r < 0 or r % 2:
+        raise DimensionError(f"{name} requires a non-negative even dimension, got {r}")
     return r
 
 
@@ -162,8 +164,14 @@ def extract_bold_blocks(x) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
+def _real_or_complex(mat) -> np.ndarray:
+    """``mat`` as float64, or complex128 if complex: no imaginary part is dropped."""
+    mat = np.asarray(mat)
+    return mat.astype(np.result_type(mat, float), copy=False)
+
+
 def orthogonality_residual(mat) -> float:
-    mat = _require_square(np.asarray(mat, dtype=float), "orthogonality_residual")
+    mat = _require_square(_real_or_complex(mat), "orthogonality_residual")
     return float(_fro(mat.T @ mat - np.eye(mat.shape[0])))
 
 
@@ -173,7 +181,7 @@ def unitarity_residual(mat) -> float:
 
 
 def symplectic_residual(mat) -> float:
-    mat = _require_square(np.asarray(mat, dtype=float), "symplectic_residual")
+    mat = _require_square(_real_or_complex(mat), "symplectic_residual")
     j = j_matrix(mat.shape[0])
     return float(_fro(mat.T @ j @ mat - j))
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import oqho
-from oqho import jsonio
+from oqho import jsonio, realizability
 from oqho.cli import main
-from oqho.errors import StructureError
+from oqho.errors import SamplePlacementError, StructureError
 from oqho.forms import PmParams, build_pm_realization, pm_to_ac
 from oqho.skewfactor import cholesky_like
 from oqho.statespace import StateSpace
@@ -247,6 +247,7 @@ def test_factor_and_convert_decide_like_the_library(tmp_path, capsys, scale,
 @pytest.mark.parametrize("argv", [
     ["factor"],
     ["convert", "--direction", "pm2ac"],
+    ["spectrum"],
 ])
 def test_tol_is_a_usage_error_where_it_gates_no_verdict(tmp_path, capsys, argv):
     path = write(tmp_path, "j.json", jsonio.encode_real_matrix(j_matrix(4)))
@@ -287,3 +288,73 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "verdict: PR" in proc.stdout
+
+
+def test_synthesize_with_theta_file(system_file, tmp_path, capsys):
+    theta = 2.0 * j_matrix(4)
+    theta_path = write(tmp_path, "theta.json", jsonio.encode_real_matrix(theta))
+    code, out, _ = run(capsys, "synthesize", "--input", system_file, "--theta", theta_path)
+    assert code == 0
+    assert np.array_equal(jsonio.decode_real_matrix(json.loads(out)["params"]["Theta"]), theta)
+
+
+def test_synthesize_notes_a_reduced_input(tmp_path, capsys):
+    ss = example_state_space()
+    hidden = StateSpace(np.block([[ss.A, np.zeros((4, 2))], [np.zeros((2, 4)), -np.eye(2)]]),
+                        np.vstack([ss.B, np.zeros((2, 4))]),
+                        np.hstack([ss.C, np.ones((4, 2))]), ss.D)
+    path = write(tmp_path, "padded.json", jsonio.encode_state_space(hidden))
+    code, _, err = run(capsys, "synthesize", "--input", path)
+    assert code == 0
+    assert err == "note: input reduced from 6 to 4 states before synthesis\n"
+
+
+def test_rebuild_placement_failure_is_inconclusive(system_file, capsys, monkeypatch):
+    """The frequency check turns a placement failure into an inconclusive
+    report; one in the rebuild's own placement reaches the CLI."""
+    draws = []
+
+    def second_draw_fails(*args, **kwargs):
+        draws.append(None)
+        if len(draws) == 2:
+            raise SamplePlacementError("placed only 0 of 20 sample points")
+        return draw(*args, **kwargs)
+
+    draw = realizability.draw_sample_points
+    monkeypatch.setattr(realizability, "draw_sample_points", second_draw_fails)
+    code, _, err = run(capsys, "synthesize", "--input", system_file)
+    assert code == 3
+    assert err == "inconclusive: placed only 0 of 20 sample points\n"
+
+
+@pytest.mark.parametrize("key, literal", [
+    ("B", "NaN"), ("D", "NaN"), ("D", "Infinity"), ("A", "NaN"),
+    ("C", "-Infinity"), ("A", "1e999"),
+])
+@pytest.mark.parametrize("argv", [["check"], ["check", "--theta", "J"], ["synthesize"]])
+def test_non_finite_input_is_a_usage_error(tmp_path, capsys, key, literal, argv):
+    payload = jsonio.encode_state_space(example_state_space())
+    payload[key]["data"][0][0] = "ENTRY"
+    path = tmp_path / "sys.json"
+    path.write_text(jsonio.dumps(payload).replace('"ENTRY"', literal))
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path} is not valid JSON: non-finite number {literal}\n"
+
+
+def test_zero_channel_system_is_a_usage_error(tmp_path, capsys):
+    ss = StateSpace(np.diag([-1.0, 3.0]), np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((0, 0)))
+    path = write(tmp_path, "none.json", jsonio.encode_state_space(ss))
+    for argv in (["check"], ["check", "--theta", "J"], ["synthesize"]):
+        code, _, err = run(capsys, *argv, "--input", path)
+        assert code == 2
+        assert "at least one channel pair" in err
+
+
+def test_factor_of_an_empty_matrix(tmp_path, capsys):
+    path = write(tmp_path, "empty.json", jsonio.encode_real_matrix(np.zeros((0, 0))))
+    code, out, err = run(capsys, "factor", "--input", path)
+    assert code == 0
+    assert json.loads(out)["deltas"] == []
+    assert err == "reconstruction residual: 0.000e+00\n"

@@ -262,3 +262,35 @@ def test_converted_commutation_matrices_are_t_conjugate(seed, dims):
     assert np.abs(a.theta() - expected).max() < 1e-9 * max(
         1.0, np.linalg.norm(p.Theta)
     )
+
+
+def static_pm(channels=2):
+    d = np.eye(2 * channels)
+    return PmParams(d, np.zeros((2 * channels, 0)), np.zeros((0, 0)), np.zeros((0, 0)))
+
+
+def test_zero_mode_ac_realization_shapes():
+    css = build_ac_realization(pm_to_ac(static_pm(channels=2)))
+    assert css.F.shape == (0, 0)
+    assert css.G.shape == (0, 4)
+    assert css.L.shape == (4, 0)
+    assert np.array_equal(css.K, np.eye(4))
+    assert css.structure_residuals() == {"F": 0.0, "G": 0.0, "L": 0.0, "K": 0.0}
+
+
+def test_zero_mode_ac_theta_is_empty():
+    theta = pm_to_ac(static_pm()).theta()
+    assert theta.shape == (0, 0) and theta.dtype == complex
+
+
+def test_zero_mode_realization_consistency_is_exact():
+    assert pm_to_ac_realization_consistency(static_pm()) == 0.0
+
+
+def test_parameters_need_a_channel():
+    with pytest.raises(DimensionError, match="non-empty"):
+        PmParams(np.zeros((0, 0)), np.zeros((0, 2)), np.eye(2), j_matrix(2))
+    z = np.zeros((0, 0))
+    with pytest.raises(DimensionError, match="non-empty"):
+        AcParams(z, np.zeros((0, 1)), np.zeros((0, 1)), np.eye(1), np.zeros((1, 1)),
+                 np.eye(1), np.zeros((1, 1)))

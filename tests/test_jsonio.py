@@ -211,3 +211,24 @@ def test_dumps_is_deterministic():
     payload_a = {"b": 2.0, "a": [1.0, {"y": 0.5, "x": 0.25}]}
     payload_b = {"a": [1.0, {"x": 0.25, "y": 0.5}], "b": 2.0}
     assert jsonio.dumps(payload_a) == jsonio.dumps(payload_b)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+def test_load_path_refuses_non_finite_numbers(tmp_path, literal):
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": 1, "cols": 2, "data": [[1.0, %s]]}' % literal)
+    with pytest.raises(SchemaError, match=f"non-finite number {literal}"):
+        jsonio.load_path(str(path))
+
+
+def test_load_path_keeps_finite_extremes(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": 1, "cols": 3, "data": [[1.7976931348623157e308, 5e-324, -0.0]]}')
+    mat = jsonio.decode_real_matrix(jsonio.load_path(str(path)))
+    assert mat.tolist() == [[1.7976931348623157e308, 5e-324, -0.0]]
+
+
+def test_integer_beyond_double_range_is_a_schema_error():
+    payload = {"rows": 1, "cols": 1, "data": [[10**400]]}
+    with pytest.raises(SchemaError, match="non-numeric entry"):
+        jsonio.decode_real_matrix(payload)

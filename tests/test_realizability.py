@@ -821,3 +821,30 @@ def test_zero_pole_mirror_on_reference_model():
         np.diag([-1.0, -2.0]), np.eye(2), np.eye(2), np.diag([2.0, 1.0])
     )
     assert not pr_zero_pole_mirror(skewed)
+
+
+def test_overflowing_evaluation_is_not_pr():
+    """G~ J G overflows to NaN for this PR system with B and C scaled by 1e100;
+    a NaN residual must fail the gate rather than drop out of the maximum."""
+    ss = build_pm_realization(random_pm_params(2, 1, np.random.default_rng(1)))
+    huge = StateSpace(ss.A, 1e100 * ss.B, 1e100 * ss.C, ss.D)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        jj = check_jj_unitary(huge)
+        report = check_pr_frequency(huge)
+    assert np.isnan(jj.max_residual) and not jj.passed
+    assert report.verdict == "not-PR"
+
+
+def test_nan_residuals_fail_every_verdict_gate():
+    ss = build_pm_realization(example_pm_params())
+    nan_d = StateSpace(ss.A, ss.B, ss.C, np.where(np.eye(4) == 1, np.nan, ss.D))
+    nan_b = StateSpace(ss.A, np.where(np.eye(4) == 1, np.nan, ss.B), ss.C, ss.D)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        frequency = check_pr_frequency(nan_d)
+        time_domain = check_pr_time_domain(nan_b, j_matrix(4))
+    assert frequency.verdict == "not-PR"
+    assert "feedthrough is not orthogonal (residual nan)" in frequency.failure_reason
+    assert time_domain.verdict == "not-PR"
+    assert "ccr_preservation residual nan" in time_domain.failure_reason

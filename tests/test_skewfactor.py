@@ -206,3 +206,7 @@ def test_relate_ccr_property(seed, half_dim):
 def test_relate_ccr_dimension_mismatch():
     with pytest.raises(DimensionError):
         relate_ccr(j_matrix(4), j_matrix(6))
+
+
+def test_empty_factorization_reconstructs_exactly():
+    assert cholesky_like(np.zeros((0, 0))).reconstruction_residual(np.zeros((0, 0))) == 0.0

@@ -432,3 +432,9 @@ def test_spectral_genericity_equals_pairwise_reference():
         ss = StateSpace(a, np.eye(n), np.eye(n), 2.0 * np.eye(n))
         rep = spectrum_report(ss)
         assert rep.spectrally_generic == reference_spectrally_generic(rep.poles, 1e-6)
+
+
+def test_require_square_channels_refuses_zero_channels():
+    no_channels = StateSpace(-np.eye(2), np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((0, 0)))
+    with pytest.raises(DimensionError, match="at least one channel pair"):
+        no_channels.require_square_channels()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,11 +61,16 @@ def test_bold_j_matrix_squares_to_identity():
         assert np.array_equal(np.diag(bj), np.r_[np.ones(r // 2), -np.ones(r // 2)])
 
 
-@pytest.mark.parametrize("bad", [0, 1, 3, -2])
+@pytest.mark.parametrize("bad", [1, 3, -2])
 def test_structured_matrices_reject_bad_dimensions(bad):
     for fn in (j_matrix, bold_j_matrix, t_matrix):
         with pytest.raises(DimensionError):
             fn(bad)
+
+
+def test_structured_matrices_of_size_zero_are_empty():
+    for fn in (j_matrix, bold_j_matrix, t_matrix):
+        assert fn(0).shape == (0, 0)
 
 
 def test_t_matrix_identities():
@@ -320,3 +327,22 @@ def test_one_singular_matrix_rule_at_every_site(site):
     assert ratio == pytest.approx(SINGULARITY_CUTOFF * (1.0 - 1e-3), rel=1e-3)
     _, call = singular_rule_site(site, SINGULARITY_CUTOFF * (1.0 + 1e-3))
     call()
+
+
+def test_complex_input_counts_its_imaginary_part():
+    mat = np.eye(2) + 1j * np.ones((2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert orthogonality_residual(mat) > 1.0
+        assert symplectic_residual(mat) > 1.0
+        assert not is_orthogonal(mat)
+        assert not is_symplectic(mat)
+
+
+def test_real_residuals_are_the_float_formulas():
+    rng = np.random.default_rng(5)
+    mat = rng.standard_normal((4, 4))
+    j = j_matrix(4)
+    assert orthogonality_residual(mat) == float(np.linalg.norm(mat.T @ mat - np.eye(4)))
+    assert symplectic_residual(mat) == float(np.linalg.norm(mat.T @ j @ mat - j))
+    assert orthogonality_residual(np.eye(2, dtype=int)) == 0.0

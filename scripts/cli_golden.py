@@ -27,7 +27,13 @@ through ``check``, ``check --theta J`` and ``synthesize``.  It then
 runs ``oqho.cli.main`` in-process for ``check`` (frequency and ``--theta``),
 ``spectrum``, ``synthesize``, ``convert`` in both directions, ``factor`` and
 ``example``, and records every output file under ``OUT/outputs`` and every
-exit code, stdout and stderr under ``OUT/calls``.
+exit code, stdout and stderr under ``OUT/calls``.  Spread among these calls
+are calls that argparse itself ends: the top-level ``--help``, ``--help`` of
+each subcommand, ``check`` without ``--input``, an unknown subcommand and
+``factor --tol``; their ``SystemExit`` code is recorded as the exit code, so
+that every later call shows whether the parser came through an earlier exit
+unchanged.  ``COLUMNS`` is pinned to 80, so help text does not depend on
+the terminal.
 
 Two trees behave byte-identically on the corpus when
 
@@ -167,8 +173,32 @@ def build_corpus(seed: int) -> list:
             (f"{name}_spectrum", ["spectrum", "--input", path]),
             (f"{name}_synthesize", ["synthesize", "--input", path]),
         ]
-    return (calls + error_calls(inputs) + scale_calls(inputs) + zero_size_calls(inputs)
-            + non_finite_calls(inputs))
+    calls += (error_calls(inputs) + scale_calls(inputs) + zero_size_calls(inputs)
+              + non_finite_calls(inputs))
+    return interleave(calls, usage_calls(inputs))
+
+
+def usage_calls(inputs: Path) -> list:
+    """Calls that argparse ends with SystemExit: help, and three usage errors."""
+    calls = [("usage_help", ["--help"])]
+    calls += [(f"usage_{command}_help", [command, "--help"])
+              for command in ("check", "synthesize", "convert", "spectrum", "factor",
+                              "example")]
+    return calls + [
+        ("usage_missing_input", ["check"]),
+        ("usage_unknown_command", ["solve", "--input", str(inputs / "example.json")]),
+        ("usage_factor_tol", ["factor", "--input", str(inputs / "example.json"),
+                              "--tol", "1"]),
+    ]
+
+
+def interleave(calls: list, extra: list) -> list:
+    """``calls`` with one of ``extra`` after each of len(extra) equal runs of them."""
+    step = len(calls) // len(extra)
+    out = []
+    for i, call in enumerate(extra):
+        out += calls[i * step:(i + 1) * step] + [call]
+    return out + calls[len(extra) * step:]
 
 
 def error_calls(inputs: Path) -> list:
@@ -266,7 +296,10 @@ def non_finite_calls(inputs: Path) -> list:
 def run(name: str, argv: list) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv + ["--output", f"outputs/{name}.json"])
+        try:
+            code = cli.main(argv + ["--output", f"outputs/{name}.json"])
+        except SystemExit as exc:  # argparse exits on --help and on usage errors
+            code = exc.code
     Path("calls", f"{name}.txt").write_text(
         f"argv: {' '.join(argv)}\nexit: {code}\n"
         f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}",
@@ -285,6 +318,7 @@ def main(argv=None) -> int:
     if any(out.iterdir()):
         parser.error(f"{out} is not empty")
     os.chdir(out)
+    os.environ["COLUMNS"] = "80"
     Path("outputs").mkdir()
     Path("calls").mkdir()
     calls = build_corpus(args.seed)

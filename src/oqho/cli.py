@@ -5,9 +5,13 @@ Exit codes: 0 success / realizable, 1 not realizable, 2 input or usage error,
 3 inconclusive (sample placement or a numerical linear-algebra step failed).
 Reports are JSON with sorted keys, written to --output or to stdout;
 human-readable diagnostics go to stderr.
+
+``main(argv)`` can be called any number of times in one process: the parser
+is built on the first call and reused by every later one.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -42,6 +46,7 @@ EXIT_INCONCLUSIVE = 3
 _VERDICT_EXIT = {"PR": EXIT_OK, "not-PR": EXIT_NOT_PR, "inconclusive": EXIT_INCONCLUSIVE}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oqho",

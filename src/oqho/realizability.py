@@ -192,9 +192,14 @@ def draw_sample_points(avoid, num_points: int, seed: int = 42,
 def check_jj_unitary(ss: StateSpace, num_samples: int = 20, tol: float = 1e-8,
                      seed: int = 42) -> JjUnitarityResult:
     """Sample the defect of G~(s) J G(s) = J (and its flip) at random points."""
-    channels = ss.require_square_channels()
-    j = j_matrix(channels)
-    lam = poles(ss)
+    ss.require_square_channels()
+    return _sample_jj_defect(ss, poles(ss), num_samples, tol, seed)
+
+
+def _sample_jj_defect(ss: StateSpace, lam: np.ndarray, num_samples: int, tol: float,
+                      seed: int) -> JjUnitarityResult:
+    """check_jj_unitary of a square-channel system whose poles ``lam`` are known."""
+    j = j_matrix(ss.num_outputs)
     avoid = np.concatenate([lam, -lam.conj()])
     pts = draw_sample_points(avoid, num_samples, seed)
     # SAMPLE_EXCLUSION > RESOLVENT_GUARD * (1 + |s|): no point trips the G or G~ guard
@@ -211,12 +216,19 @@ def check_jj_unitary(ss: StateSpace, num_samples: int = 20, tol: float = 1e-8,
 def check_pr_frequency(ss: StateSpace, tol: float = 1e-8, num_samples: int = 20,
                        seed: int = 42) -> PrReport:
     """Frequency-domain realizability verdict for a square even-channel system."""
+    return _check_pr_frequency(ss, tol, num_samples, seed)[0]
+
+
+def _check_pr_frequency(ss: StateSpace, tol: float, num_samples: int,
+                        seed: int) -> tuple:
+    """(check_pr_frequency report, poles of ``ss``): synthesize reuses the poles."""
     ss.require_square_channels()
+    lam = poles(ss)
     d_orth = orthogonality_residual(ss.D)
     d_symp = symplectic_residual(ss.D)
     conditions = {"d_orthogonality": d_orth, "d_symplectic": d_symp}
     try:
-        jj = check_jj_unitary(ss, num_samples, tol, seed)
+        jj = _sample_jj_defect(ss, lam, num_samples, tol, seed)
     except SamplePlacementError as exc:
         return PrReport(
             verdict="inconclusive",
@@ -226,7 +238,7 @@ def check_pr_frequency(ss: StateSpace, tol: float = 1e-8, num_samples: int = 20,
             sample_points=[],
             failure_reason=str(exc),
             condition_residuals=conditions,
-        )
+        ), lam
     conditions["jj_unitarity"] = jj.max_residual
     failures = []
     if not d_orth <= tol:
@@ -243,7 +255,7 @@ def check_pr_frequency(ss: StateSpace, tol: float = 1e-8, num_samples: int = 20,
         sample_points=jj.sample_points,
         failure_reason="; ".join(failures) if failures else None,
         condition_residuals=conditions,
-    )
+    ), lam
 
 
 def check_pr_time_domain(ss: StateSpace, theta, tol: float = 1e-8) -> PrReport:
@@ -445,7 +457,7 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = 1e-8,
     if not is_minimal(work):
         work = minimal_realization(work)
     reduced_from = original_dim if work.state_dim != original_dim else None
-    freq = check_pr_frequency(work, tol, num_samples, seed)
+    freq, lam_work = _check_pr_frequency(work, tol, num_samples, seed)
     if freq.verdict != "PR":
         raise NotRealizableError(
             f"system is not physically realizable: {freq.failure_reason}",
@@ -503,7 +515,7 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = 1e-8,
     params = PmParams(work.D.copy(), m_mat, r_mat, theta_target)
 
     rebuilt = build_pm_realization(params)
-    lam_work, lam_rebuilt = poles(work), poles(rebuilt)
+    lam_rebuilt = poles(rebuilt)
     avoid = np.concatenate([lam_work, lam_rebuilt])
     avoid = np.concatenate([avoid, -avoid.conj()])
     pts = draw_sample_points(avoid, num_samples, seed)

@@ -247,7 +247,12 @@ def _reachable_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     RANK_CUTOFF * max(|a|_F, |b|_F).  No power of ``a`` is formed: the
     Krylov matrix [b, ab, ..., a^{n-1} b] loses rank numerically from a few
     modes up and overflows at a few hundred states (Paige, 1981).
+
+    Raises LinAlgError, as eigvals does, when ``a`` or ``b`` holds an inf or
+    a NaN: the SVD of a block with an inf may never return.
     """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     cutoff = RANK_CUTOFF * max(np.linalg.norm(a), np.linalg.norm(b))
     basis = np.zeros((a.shape[0], 0))
     block = b

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import oqho
-from oqho import jsonio, realizability
+from oqho import cli, jsonio, realizability
 from oqho.cli import main
 from oqho.errors import SamplePlacementError, StructureError
 from oqho.forms import PmParams, build_pm_realization, pm_to_ac
@@ -358,3 +359,53 @@ def test_factor_of_an_empty_matrix(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["deltas"] == []
     assert err == "reconstruction residual: 0.000e+00\n"
+
+
+def test_second_call_reuses_the_parser(monkeypatch, capsys):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    run(capsys, "example")
+    first = len(added)
+    run(capsys, "example")
+    assert first > 0
+    assert len(added) == first
+
+
+def test_no_state_leaks_between_calls(system_file, tmp_path, capsys):
+    def check(name, *flags):
+        path = tmp_path / name
+        code, _, _ = run(capsys, "check", "--input", system_file, "--output", str(path),
+                         *flags)
+        assert code == 0
+        return path.read_bytes()
+
+    cli._build_parser.cache_clear()
+    lone = check("lone.json")
+    seeded = check("seeded.json", "--seed", "7", "--samples", "9")
+    assert seeded != lone
+    assert check("after.json") == lone
+
+
+def test_calls_after_usage_errors_match_a_fresh_process(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--input", "x", "--tol", "1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "example", "--output", str(tmp_path / "in_process.json"))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "oqho", "example", "--output", str(tmp_path / "fresh.json")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(oqho.__file__).parent.parent)),
+    )
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert (tmp_path / "in_process.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()

@@ -302,13 +302,13 @@ def test_eigendecompositions_per_call(count_eigendecompositions):
     assert count_eigendecompositions(lambda: check_pr_frequency(big)) == 1
     # poles and the poles of the inverse realization (the zeros)
     assert count_eigendecompositions(lambda: spectrum_report(big)) == 2
-    # frequency check 1, F solve 1, rebuild placement and guards 2
-    assert count_eigendecompositions(lambda: synthesize(small)) == 4
+    # frequency check 1, whose poles the rebuild reuses; F solve 1; rebuilt system 1
+    assert count_eigendecompositions(lambda: synthesize(small)) == 3
     # degenerate pole pairs are pinned inside the one F solve
-    assert count_eigendecompositions(lambda: synthesize(example_state_space())) == 4
+    assert count_eigendecompositions(lambda: synthesize(example_state_space())) == 3
     # a defective eigenbasis costs the one feedback-shifted F solve more
     defective = defective_system([0.5] * 3, np.random.default_rng(1))
-    assert count_eigendecompositions(lambda: synthesize(defective)) == 5
+    assert count_eigendecompositions(lambda: synthesize(defective)) == 4
     static = StateSpace.static(j_matrix(2))
     for call in (check_pr_frequency, spectrum_report, synthesize):
         assert count_eigendecompositions(lambda: call(static)) == 0

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +30,8 @@ from oqho.statespace import (
 from oqho.worked_example import example_rational_entries, example_state_space
 
 seeds = st.integers(0, 10**6)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def random_system(seed, n=4, m=2):
@@ -218,6 +225,31 @@ def test_minimal_realization_strips_hidden_modes():
 
 def test_example_is_minimal():
     assert is_minimal(example_state_space())
+
+
+def test_staircase_refuses_infinite_entries():
+    """An inf in A, B or C is refused before the staircase SVD, which may never
+    return on it; the calls run in a child process so that a hang fails."""
+    script = """
+import numpy as np
+from oqho.realizability import synthesize
+from oqho.statespace import is_minimal, minimal_realization
+from oqho.worked_example import example_state_space
+for key in "ABC":
+    for value in (np.inf, -np.inf):
+        for call in (is_minimal, minimal_realization, synthesize):
+            ss = example_state_space()
+            getattr(ss, key)[0, 0] = value
+            try:
+                call(ss)
+            except np.linalg.LinAlgError as exc:
+                assert str(exc) == "Array must not contain infs or NaNs", exc
+            else:
+                raise AssertionError(f"{call.__name__} accepted {value} in {key}")
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert done.returncode == 0, done.stderr
 
 
 def reference_controllability_matrix(a, b):

@@ -44,12 +44,26 @@ Two trees behave byte-identically on the corpus when
 
 prints nothing.  Every path handed to the CLI is relative to OUT, so its
 messages do not depend on where OUT is.
+
+When only numbers may move (a change of floating-point evaluation order, say),
+
+    python3 scripts/cli_golden.py --compare /tmp/golden-a /tmp/golden-b
+
+compares two such trees with numbers told apart from text.  It exits with 1
+when the file sets, any exit code or any text outside numbers differ, and
+lists each of them.  For every field whose numbers moved (a JSON path, with
+list indices written ``[]``, or the text before a number in a call record)
+it prints the largest absolute change and the largest change relative to
+the first tree's value.
 """
 
 import argparse
 import contextlib
 import io
+import json
+import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -307,12 +321,116 @@ def run(name: str, argv: list) -> None:
     )
 
 
+# A number as jsonio and the CLI's messages write it, non-finite ones included.
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN|-?inf|nan")
+
+
+class Moves:
+    """Largest absolute and relative change of the numbers of each field."""
+
+    def __init__(self):
+        self.fields = {}
+        self.count = 0
+
+    def add(self, field, old, new, where):
+        old, new = float(old), float(new)
+        if old == new or (math.isnan(old) and math.isnan(new)):
+            return
+        self.count += 1
+        diff = abs(new - old)
+        rel = diff / abs(old) if old else math.inf
+        if math.isnan(diff):
+            diff = rel = math.inf
+        worst = self.fields.setdefault(field, [0.0, 0.0, set(), ""])
+        if rel >= worst[1]:
+            worst[3] = where
+        worst[0], worst[1] = max(worst[0], diff), max(worst[1], rel)
+        worst[2].add(where)
+
+
+def compare_json(old, new, path, moves, where):
+    """Differences outside numbers between two decoded JSON values; numbers
+    that moved go to ``moves``."""
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (old, new)):
+        moves.add(path, old, new, where)
+        return []
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            return [f"{path or '.'}: keys {sorted(old)} -> {sorted(new)}"]
+        return [d for key in old for d in compare_json(
+            old[key], new[key], f"{path}.{key}".lstrip("."), moves, where)]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [d for a, b in zip(old, new)
+                for d in compare_json(a, b, f"{path}[]", moves, where)]
+    if type(old) is type(new) and old == new:
+        return []
+    return [f"{path or '.'}: {old!r} -> {new!r}"]
+
+
+def compare_text(old, new, moves, where):
+    """Differences outside numbers between two texts, line by line; the exit
+    line of a call record must match exactly."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return [f"{len(old_lines)} -> {len(new_lines)} lines"]
+    diffs = []
+    for a, b in zip(old_lines, new_lines):
+        if a == b:
+            continue
+        if a.startswith("exit:") or NUMBER.split(a) != NUMBER.split(b):
+            diffs.append(f"{a!r} -> {b!r}")
+            continue
+        for m, y in zip(NUMBER.finditer(a), NUMBER.findall(b)):
+            moves.add("text: " + a[:m.start()].strip(), m.group(), y, where)
+    return diffs
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    """Print how the trees ``dir_a`` and ``dir_b`` differ; 1 when they differ
+    outside numbers, else 0."""
+    files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
+    problems = [f"only in {dir_a}: {p}" for p in sorted(files_a - files_b)]
+    problems += [f"only in {dir_b}: {p}" for p in sorted(files_b - files_a)]
+    moves, changed, formatting = Moves(), 0, []
+    for rel in sorted(files_a & files_b):
+        old = (dir_a / rel).read_text(encoding="utf-8")
+        new = (dir_b / rel).read_text(encoding="utf-8")
+        if old == new:
+            continue
+        changed += 1
+        before = moves.count
+        if rel.suffix == ".json":
+            diffs = compare_json(json.loads(old), json.loads(new), "", moves, str(rel))
+        else:
+            diffs = compare_text(old, new, moves, str(rel))
+        problems += [f"{rel}: {d}" for d in diffs]
+        if not diffs and moves.count == before:
+            formatting.append(str(rel))
+    print(f"{len(files_a & files_b)} files in both trees, {changed} differ")
+    for rel in formatting:
+        print(f"  {rel}: equal numbers written differently")
+    if moves.fields:
+        print("moved numbers (field: largest absolute change, largest relative change, files):")
+    for field, (diff, rel, where, worst) in sorted(moves.fields.items()):
+        print(f"  {field}: {diff:.3g}, {rel:.3g}, {len(where)} files "
+              f"(largest relative in {worst})")
+    for line in problems:
+        print(f"DIFFERS {line}")
+    return 1 if problems else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="corpus seed (default 1)")
-    parser.add_argument("--out", required=True, metavar="DIR",
-                        help="new or empty directory for the corpus and the records")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", metavar="DIR",
+                      help="new or empty directory for the corpus and the records")
+    mode.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"), type=Path,
+                      help="compare two recorded trees, numbers apart from text")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .skewfactor import cholesky_like
-from .statespace import StateSpace, _evaluate_quadruple
+from .statespace import StateSpace, _eigensystem, _evaluate_quadruple
 from .structured import (
     _min_singular_ratio,
     _require_nonsingular,
@@ -295,8 +295,7 @@ def build_ac_realization(params: AcParams) -> ComplexStateSpace:
 
 def eval_ac_tf(css: ComplexStateSpace, s: complex) -> np.ndarray:
     """Evaluate L (sI - F)^{-1} G + K by the evaluator and near-pole guard of eval_tf."""
-    lam = np.linalg.eigvals(css.F)
-    return _evaluate_quadruple(css.F, css.G, css.L, css.K, [s], lam)[0]
+    return _evaluate_quadruple(css.F, css.G, css.L, css.K, [s], _eigensystem(css.F))[0]
 
 
 def eval_conjugate_ac_tf(css: ComplexStateSpace, s: complex) -> np.ndarray:

@@ -8,7 +8,10 @@ realizable as an oscillator network exactly when
   orthosymplectic).
 
 The frequency check samples the (J, J)-unitarity defect at pseudo-random
-points away from the poles.  The time-domain check verifies the equivalent
+points away from the poles.  One eigendecomposition A = V L V^{-1} places the
+points, guards them, and gives G and G~ at every one of them in modal form
+(see ``statespace.evaluate``); synthesis hands the same eigensystem to the
+first pass of its F solve.  The time-domain check verifies the equivalent
 parameter-level identities against a given commutation matrix Theta:
 
     (i)   D orthosymplectic,
@@ -43,11 +46,11 @@ from .forms import PmParams, build_pm_realization
 from .skewfactor import relate_ccr
 from .statespace import (
     StateSpace,
+    _eigensystem,
     _evaluate_quadruple,
     inverse_realization,
     is_minimal,
     minimal_realization,
-    poles,
     spectrum_report,
 )
 from .structured import (
@@ -193,18 +196,19 @@ def check_jj_unitary(ss: StateSpace, num_samples: int = 20, tol: float = 1e-8,
                      seed: int = 42) -> JjUnitarityResult:
     """Sample the defect of G~(s) J G(s) = J (and its flip) at random points."""
     ss.require_square_channels()
-    return _sample_jj_defect(ss, poles(ss), num_samples, tol, seed)
+    return _sample_jj_defect(ss, _eigensystem(ss.A), num_samples, tol, seed)
 
 
-def _sample_jj_defect(ss: StateSpace, lam: np.ndarray, num_samples: int, tol: float,
+def _sample_jj_defect(ss: StateSpace, spectrum: tuple, num_samples: int, tol: float,
                       seed: int) -> JjUnitarityResult:
-    """check_jj_unitary of a square-channel system whose poles ``lam`` are known."""
+    """check_jj_unitary of a square-channel system whose ``_eigensystem`` is known."""
     j = j_matrix(ss.num_outputs)
+    lam = spectrum[0]
     avoid = np.concatenate([lam, -lam.conj()])
     pts = draw_sample_points(avoid, num_samples, seed)
     # SAMPLE_EXCLUSION > RESOLVENT_GUARD * (1 + |s|): no point trips the G or G~ guard
-    g = _evaluate_quadruple(ss.A, ss.B, ss.C, ss.D, pts, lam)
-    g_conj = _evaluate_quadruple(ss.A, ss.B, ss.C, ss.D, -np.conj(pts), lam)
+    g = _evaluate_quadruple(ss.A, ss.B, ss.C, ss.D, pts, spectrum)
+    g_conj = _evaluate_quadruple(ss.A, ss.B, ss.C, ss.D, -np.conj(pts), spectrum)
     g_conj = g_conj.conj().transpose(0, 2, 1)
     defects = np.concatenate(
         [_frobenius_norms(g_conj @ j @ g - j), _frobenius_norms(g @ j @ g_conj - j)]
@@ -221,14 +225,15 @@ def check_pr_frequency(ss: StateSpace, tol: float = 1e-8, num_samples: int = 20,
 
 def _check_pr_frequency(ss: StateSpace, tol: float, num_samples: int,
                         seed: int) -> tuple:
-    """(check_pr_frequency report, poles of ``ss``): synthesize reuses the poles."""
+    """(check_pr_frequency report, ``_eigensystem`` of ``ss.A``): synthesize
+    reuses the eigensystem for its F solve and its rebuild check."""
     ss.require_square_channels()
-    lam = poles(ss)
+    spectrum = _eigensystem(ss.A)
     d_orth = orthogonality_residual(ss.D)
     d_symp = symplectic_residual(ss.D)
     conditions = {"d_orthogonality": d_orth, "d_symplectic": d_symp}
     try:
-        jj = _sample_jj_defect(ss, lam, num_samples, tol, seed)
+        jj = _sample_jj_defect(ss, spectrum, num_samples, tol, seed)
     except SamplePlacementError as exc:
         return PrReport(
             verdict="inconclusive",
@@ -238,7 +243,7 @@ def _check_pr_frequency(ss: StateSpace, tol: float, num_samples: int,
             sample_points=[],
             failure_reason=str(exc),
             condition_residuals=conditions,
-        ), lam
+        ), spectrum
     conditions["jj_unitarity"] = jj.max_residual
     failures = []
     if not d_orth <= tol:
@@ -255,7 +260,7 @@ def _check_pr_frequency(ss: StateSpace, tol: float, num_samples: int,
         sample_points=jj.sample_points,
         failure_reason="; ".join(failures) if failures else None,
         condition_residuals=conditions,
-    ), lam
+    ), spectrum
 
 
 def check_pr_time_domain(ss: StateSpace, theta, tol: float = 1e-8) -> PrReport:
@@ -315,16 +320,18 @@ def check_pr_time_domain(ss: StateSpace, theta, tol: float = 1e-8) -> PrReport:
     )
 
 
-def _lyapunov_f(a: np.ndarray, q: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _lyapunov_f(spectrum: tuple, q: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Solve A^T F + F A = Q with F G = H in the eigen-coordinates of A.
 
-    With A = V L V^{-1} and Y = V^T F V, (l_i + l_j) Y_ij = (V^T Q V)_ij.  The
+    ``spectrum`` is the ``_eigensystem`` (L, V, V^{-1}) of A.  With
+    A = V L V^{-1} and Y = V^T F V, (l_i + l_j) Y_ij = (V^T Q V)_ij.  The
     entries of degenerate pairs are pinned by Y V^{-1} G = V^T H, one least-
     squares solve for all the rows that pin the same columns.  Raises
     LinAlgError when the eigenvector basis is singular.
     """
-    lam, v = np.linalg.eig(a)
-    w = np.linalg.inv(v)
+    lam, v, w = spectrum
+    if w is None:
+        raise np.linalg.LinAlgError("Singular matrix")
     gap = lam[:, None] + lam[None, :]
     pinned = np.abs(gap) <= DEGENERATE_PAIR_CUTOFF * np.abs(lam).max()
     y = (v.T @ q @ v) / np.where(pinned, 1.0, gap)
@@ -364,10 +371,12 @@ def _f_equation_residuals(ss: StateSpace, j, b_dinv, dinv_c, a_inv,
     return res
 
 
-def _solve_f(ss: StateSpace, tol: float = 1e-8):
+def _solve_f(ss: StateSpace, tol: float = 1e-8, spectrum: tuple | None = None):
     """Solve the similarity equations for the skew certificate F.
 
-    Returns (F, F^{-1}, diagnostics).  The three equations are linear in F:
+    Returns (F, F^{-1}, diagnostics); ``spectrum``, when given, is the
+    ``_eigensystem`` of ``ss.A``, and the first pass does not decompose A
+    again.  The three equations are linear in F:
 
         J B^T F = -D^{-1} C,   F B D^{-1} = C^T J,   A^T F + F (A - B D^{-1} C) = 0.
 
@@ -412,7 +421,9 @@ def _solve_f(ss: StateSpace, tol: float = 1e-8):
     ctj = ss.C.T @ j
     q = ctj @ ss.C
     try:
-        return gate(_lyapunov_f(ss.A, q, b_dinv, ctj))
+        if spectrum is None:
+            spectrum = _eigensystem(ss.A)
+        return gate(_lyapunov_f(spectrum, q, b_dinv, ctj))
     except (np.linalg.LinAlgError, SingularMatrixError, NotRealizableError):
         if not ss.B.any():  # the feedback shift below divides by |B|^2
             raise SingularMatrixError("similarity matrix F is singular: B = 0") from None
@@ -423,7 +434,7 @@ def _solve_f(ss: StateSpace, tol: float = 1e-8):
     # K = -t B^T alone an isotropically coupled mode keeps its Jordan block.
     k = -np.linalg.norm(ss.A) / np.linalg.norm(ss.B) ** 2 * (np.eye(len(j)) + j) @ ss.B.T
     q_shift = q + k.T @ j @ dinv_c + ctj @ ss.D @ k
-    return gate(_lyapunov_f(ss.A + ss.B @ k, q_shift, b_dinv, ctj))
+    return gate(_lyapunov_f(_eigensystem(ss.A + ss.B @ k), q_shift, b_dinv, ctj))
 
 
 def compute_f(ss: StateSpace, tol: float = 1e-8) -> np.ndarray:
@@ -457,7 +468,7 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = 1e-8,
     if not is_minimal(work):
         work = minimal_realization(work)
     reduced_from = original_dim if work.state_dim != original_dim else None
-    freq, lam_work = _check_pr_frequency(work, tol, num_samples, seed)
+    freq, spectrum_work = _check_pr_frequency(work, tol, num_samples, seed)
     if freq.verdict != "PR":
         raise NotRealizableError(
             f"system is not physically realizable: {freq.failure_reason}",
@@ -496,7 +507,7 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = 1e-8,
             reduced_from=reduced_from,
         )
 
-    f, f_inv, diagnostics = _solve_f(work, tol)
+    f, f_inv, diagnostics = _solve_f(work, tol, spectrum_work)
     j = j_matrix(channels)
     rhat_raw = 0.5 * f @ (work.A @ f_inv + 0.5 * work.B @ j @ work.B.T) @ f
     rhat_sym = float(
@@ -515,12 +526,14 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = 1e-8,
     params = PmParams(work.D.copy(), m_mat, r_mat, theta_target)
 
     rebuilt = build_pm_realization(params)
-    lam_rebuilt = poles(rebuilt)
-    avoid = np.concatenate([lam_work, lam_rebuilt])
+    # the rebuilt system has an eigensystem of its own: the check stays independent
+    spectrum_rebuilt = _eigensystem(rebuilt.A)
+    avoid = np.concatenate([spectrum_work[0], spectrum_rebuilt[0]])
     avoid = np.concatenate([avoid, -avoid.conj()])
     pts = draw_sample_points(avoid, num_samples, seed)
-    ref = _evaluate_quadruple(work.A, work.B, work.C, work.D, pts, lam_work)
-    got = _evaluate_quadruple(rebuilt.A, rebuilt.B, rebuilt.C, rebuilt.D, pts, lam_rebuilt)
+    ref = _evaluate_quadruple(work.A, work.B, work.C, work.D, pts, spectrum_work)
+    got = _evaluate_quadruple(rebuilt.A, rebuilt.B, rebuilt.C, rebuilt.D, pts,
+                              spectrum_rebuilt)
     devs = _frobenius_norms(got - ref) / np.fmax(1.0, _frobenius_norms(ref))
     max_dev = float(np.max(devs, initial=0.0))
     residuals = dict(diagnostics)

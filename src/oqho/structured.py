@@ -103,13 +103,21 @@ def _require_square(mat: np.ndarray, name: str) -> np.ndarray:
 def j_matrix(r: int) -> np.ndarray:
     """Canonical symplectic form of even dimension r: [[0, I], [-I, 0]]."""
     r = _require_even(r, "j_matrix")
-    return np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(r // 2))
+    h = r // 2
+    out = np.zeros((r, r))
+    out[:h, h:] = np.eye(h)
+    out[h:, :h] = -np.eye(h)  # -0.0 off the diagonal, as the Kronecker product has
+    return out
 
 
 def bold_j_matrix(r: int) -> np.ndarray:
     """Signature matrix diag(I, -I) of even dimension r."""
     r = _require_even(r, "bold_j_matrix")
-    return np.kron(np.diag([1.0, -1.0]), np.eye(r // 2))
+    h = r // 2
+    out = np.zeros((r, r))
+    out[:h, :h] = np.eye(h)
+    out[h:, h:] = -np.eye(h)
+    return out
 
 
 def t_matrix(k: int) -> np.ndarray:
@@ -118,7 +126,12 @@ def t_matrix(k: int) -> np.ndarray:
     Satisfies T T* = 2 I and (1/2) T diag(I, -I) T* = i [[0, I], [-I, 0]].
     """
     k = _require_even(k, "t_matrix")
-    return np.kron(np.array([[1.0, 1.0], [-1.0j, 1.0j]]), np.eye(k // 2))
+    h = k // 2
+    out = np.zeros((k, k), dtype=complex)
+    out[:h, :h] = out[:h, h:] = np.eye(h)
+    out[h:, :h] = -1.0j * np.eye(h)
+    out[h:, h:] = 1.0j * np.eye(h)
+    return out
 
 
 def doubled_up(x1, x2) -> np.ndarray:

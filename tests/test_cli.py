@@ -154,7 +154,9 @@ def test_numerical_failure_is_inconclusive(system_file, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    # the check decomposes A with eig; spectrum's poles come from eigvals
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, fail)
     code, _, err = run(capsys, "check", "--input", system_file)
     assert code == 3
     assert "numerical failure: Eigenvalues did not converge" in err

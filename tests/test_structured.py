@@ -61,6 +61,21 @@ def test_bold_j_matrix_squares_to_identity():
         assert np.array_equal(np.diag(bj), np.r_[np.ones(r // 2), -np.ones(r // 2)])
 
 
+@pytest.mark.parametrize("r", [0, 2, 4, 10, 64])
+def test_structured_matrices_match_kronecker_products_byte_for_byte(r):
+    """Signed zeros included: kron gives -0.0 wherever a factor of -1 meets a 0."""
+    eye = np.eye(r // 2)
+    kron = {
+        j_matrix: np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), eye),
+        bold_j_matrix: np.kron(np.diag([1.0, -1.0]), eye),
+        t_matrix: np.kron(np.array([[1.0, 1.0], [-1.0j, 1.0j]]), eye),
+    }
+    for fn, want in kron.items():
+        got = fn(r)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("bad", [1, 3, -2])
 def test_structured_matrices_reject_bad_dimensions(bad):
     for fn in (j_matrix, bold_j_matrix, t_matrix):

@@ -22,8 +22,10 @@ literal zero-size cases: a static PR system and a static non-orthogonal one
 and ``synthesize --theta`` with a 0x0 file), 0-mode parameter sets in both
 forms through ``convert``, ``factor`` of a 0x0 matrix, and a 2-state system
 with no channels through ``check``.  Last, the reference model with one
-entry made non-finite (NaN in B, NaN in D, Infinity in D, NaN in A) goes
-through ``check``, ``check --theta J`` and ``synthesize``.  It then
+entry made non-finite (NaN in B, NaN in D, Infinity in D, NaN in A) or not a
+JSON number (null, the string "NaN" and true in A) goes through ``check``,
+``check --theta J`` and ``synthesize``, and the reference parameter set with
+a null entry in M through ``convert --direction pm2ac``.  It then
 runs ``oqho.cli.main`` in-process for ``check`` (frequency and ``--theta``),
 ``spectrum``, ``synthesize``, ``convert`` in both directions, ``factor`` and
 ``example``, and records every output file under ``OUT/outputs`` and every
@@ -81,7 +83,7 @@ from oqho.sampling import (
 )
 from oqho.statespace import StateSpace, block_diag, similarity_transform
 from oqho.structured import j_matrix
-from oqho.worked_example import example_state_space
+from oqho.worked_example import example_pm_params, example_state_space
 
 MODES = (1, 2, 3)
 CHANNELS = (1, 2, 3)
@@ -292,19 +294,27 @@ def zero_size_calls(inputs: Path) -> list:
 
 
 def non_finite_calls(inputs: Path) -> list:
-    """The reference model with one non-finite entry, with the calls that feed it in."""
+    """The reference model with one non-finite entry or one entry that is not
+    a JSON number, and its parameter set with a null entry, with the calls
+    that feed them in."""
+    cases = [(f"{str(value).lower()}_in_{key}", key, value)
+             for key, value in (("B", np.nan), ("D", np.nan), ("D", np.inf), ("A", np.nan))]
+    cases += [(f"{name}_in_A", "A", value)
+              for name, value in (("null", None), ("nan_string", "NaN"), ("true", True))]
     calls = []
-    for key, value in (("B", np.nan), ("D", np.nan), ("D", np.inf), ("A", np.nan)):
-        ss = example_state_space()
-        getattr(ss, key)[0, 0] = value
-        name = f"{str(value).lower()}_in_{key}"
-        path = write(inputs / f"{name}.json", jsonio.encode_state_space(ss))
+    for name, key, value in cases:
+        payload = jsonio.encode_state_space(example_state_space())
+        payload[key]["data"][0][0] = value
+        path = write(inputs / f"{name}.json", payload)
         calls += [
             (f"{name}_check", ["check", "--input", path]),
             (f"{name}_check_theta", ["check", "--input", path, "--theta", "J"]),
             (f"{name}_synthesize", ["synthesize", "--input", path]),
         ]
-    return calls
+    pm = jsonio.encode_pm_params(example_pm_params())
+    pm["M"]["data"][0][0] = None
+    path = write(inputs / "null_in_M_pm.json", pm)
+    return calls + [("null_in_M_pm2ac", ["convert", "--direction", "pm2ac", "--input", path])]
 
 
 def run(name: str, argv: list) -> None:

@@ -112,10 +112,7 @@ def _fail(message: str) -> int:
 def _resolve_theta(selector: str, dim: int) -> np.ndarray:
     if selector == "J":
         return j_matrix(dim)
-    payload = jsonio.load_path(selector)
-    if jsonio.detect_payload(payload) != "real_matrix":
-        raise SchemaError(f"{selector} does not hold a real matrix payload")
-    return jsonio.decode_real_matrix(payload, "theta")
+    return jsonio.decode_real_matrix(jsonio.load_path(selector, ("real_matrix",)), "theta")
 
 
 def _check_sample_budget(num_samples: int, state_dim: int) -> None:
@@ -127,7 +124,7 @@ def _check_sample_budget(num_samples: int, state_dim: int) -> None:
 
 
 def _cmd_check(args) -> int:
-    ss = jsonio.system_from_payload(jsonio.load_path(args.input))
+    ss = jsonio.system_from_payload(jsonio.load_path(args.input), args.input)
     if args.theta is None:
         _check_sample_budget(args.samples, ss.state_dim)
         report = check_pr_frequency(ss, tol=args.tol, num_samples=args.samples,
@@ -142,7 +139,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    ss = jsonio.system_from_payload(jsonio.load_path(args.input))
+    ss = jsonio.system_from_payload(jsonio.load_path(args.input), args.input)
     _check_sample_budget(args.samples, ss.state_dim)
     selector = args.theta if args.theta is not None else "J"
     theta = None
@@ -167,38 +164,30 @@ def _cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
+# direction -> (input payload kind, conversion of its payload to the output's)
+_CONVERSIONS = {
+    "pm2ac": ("pm_params",
+              lambda p: jsonio.encode_ac_params(pm_to_ac(jsonio.decode_pm_params(p)))),
+    "ac2pm": ("ac_params",
+              lambda p: jsonio.encode_pm_params(ac_to_pm(jsonio.decode_ac_params(p)))),
+}
+
+
 def _cmd_convert(args) -> int:
-    payload = jsonio.load_path(args.input)
-    kind = jsonio.detect_payload(payload)
-    if args.direction == "pm2ac":
-        if kind != "pm_params":
-            raise SchemaError(
-                f"direction pm2ac needs a pm_params payload, found '{kind}'"
-            )
-        converted = pm_to_ac(jsonio.decode_pm_params(payload))
-        _emit(jsonio.dumps(jsonio.encode_ac_params(converted)), args.output)
-    else:
-        if kind != "ac_params":
-            raise SchemaError(
-                f"direction ac2pm needs an ac_params payload, found '{kind}'"
-            )
-        converted = ac_to_pm(jsonio.decode_ac_params(payload))
-        _emit(jsonio.dumps(jsonio.encode_pm_params(converted)), args.output)
+    kind, convert = _CONVERSIONS[args.direction]
+    _emit(jsonio.dumps(convert(jsonio.load_path(args.input, (kind,)))), args.output)
     return EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
-    ss = jsonio.system_from_payload(jsonio.load_path(args.input))
+    ss = jsonio.system_from_payload(jsonio.load_path(args.input), args.input)
     report = spectrum_report(ss)
     _emit(jsonio.dumps(jsonio.encode_spectrum_report(report)), args.output)
     return EXIT_OK
 
 
 def _cmd_factor(args) -> int:
-    payload = jsonio.load_path(args.input)
-    if jsonio.detect_payload(payload) != "real_matrix":
-        raise SchemaError("factor needs a real matrix payload")
-    theta = jsonio.decode_real_matrix(payload, "matrix")
+    theta = jsonio.decode_real_matrix(jsonio.load_path(args.input, ("real_matrix",)))
     fact = cholesky_like(theta)
     _emit(jsonio.dumps(jsonio.encode_skew_factorization(fact)), args.output)
     sys.stderr.write(

@@ -6,13 +6,15 @@ Fixed field names, shared by the library and the CLI:
 * complex matrix     {"rows", "cols", "re", "im"}
 * state space        {"n", "m", "A", "B", "C", "D"}
 * rational diagonal  {"entries": [{"num", "den"}, ...]}  (descending powers)
-* pm parameters      {"D", "M", "R", "Theta"}
-* ac parameters      {"S", "N1", "N2", "H1", "H2", "E1", "E2"}
-* skew factorization {"Sigma", "O", "deltas"}
+* record formats     one row of ``_FORMATS`` each: parameter sets in both
+                     forms, skew factorizations, and the check, spectrum and
+                     synthesis reports
 
 Complex scalars are encoded as {"re", "im"}.  ``dumps`` sorts keys so equal
 values serialize to identical bytes.  ``load_path`` refuses non-finite
-numbers: NaN, Infinity, -Infinity and literals that overflow a double.
+numbers: NaN, Infinity, -Infinity and literals that overflow a double.  Every
+number a decoder reads must be a JSON number (an int or a float, not a bool)
+that converts to a finite double; anything else is a SchemaError.
 """
 
 import json
@@ -62,17 +64,6 @@ __all__ = [
     "decode_synthesis_result",
 ]
 
-# required-field fingerprints used by detect_payload, checked in this order
-_FINGERPRINTS = {
-    "state_space": {"n", "m", "A", "B", "C", "D"},
-    "rational_entries": {"entries"},
-    "pm_params": {"D", "M", "R", "Theta"},
-    "ac_params": {"S", "N1", "N2", "H1", "H2", "E1", "E2"},
-    "real_matrix": {"rows", "cols", "data"},
-    "complex_matrix": {"rows", "cols", "re", "im"},
-    "skew_factorization": {"Sigma", "O", "deltas"},
-}
-
 
 def _finite(literal: str) -> float:
     """JSON float and constant hook: refuse a value that is not a finite double."""
@@ -89,14 +80,19 @@ def dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def load_path(path):
+def load_path(path, kinds=()):
+    """The JSON value in the file at ``path``; when ``kinds`` names payload
+    kinds, the file must hold one of them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _DECODER.decode(fh.read())
+            payload = _DECODER.decode(fh.read())
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, SchemaError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    if kinds:
+        _require_kind(payload, kinds, path)
+    return payload
 
 
 def detect_payload(payload) -> str:
@@ -109,15 +105,20 @@ def detect_payload(payload) -> str:
     keys = set(payload)
     matches = [kind for kind, req in _FINGERPRINTS.items() if req <= keys]
     if not matches:
-        raise SchemaError(
-            "unrecognized payload: keys "
-            + repr(sorted(keys))
-            + " match no known schema "
-            + repr(sorted(_FINGERPRINTS))
-        )
+        raise SchemaError(f"unrecognized payload: keys {sorted(keys)!r} match no "
+                          f"known schema {sorted(_FINGERPRINTS)!r}")
     if len(matches) > 1:
         raise SchemaError(f"ambiguous payload: keys match {sorted(matches)}")
     return matches[0]
+
+
+def _require_kind(payload, kinds, source) -> str:
+    """The kind of ``payload``, which must be one of ``kinds``; ``source``
+    names the payload in the error."""
+    kind = detect_payload(payload)
+    if kind not in kinds:
+        raise SchemaError(f"{source} holds {kind}, expected {' or '.join(kinds)}")
+    return kind
 
 
 def _require(payload, key, kind):
@@ -126,28 +127,45 @@ def _require(payload, key, kind):
     return payload[key]
 
 
-def _as_grid(value, field, rows=None, cols=None):
-    if not isinstance(value, list) or any(not isinstance(r, list) for r in value):
-        raise SchemaError(f"field '{field}' must be a list of rows")
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"field '{field}' contains a non-numeric entry: {exc}") from exc
-    if arr.size == 0:
-        arr = arr.reshape((len(value), 0) if rows is None else (rows, cols or 0))
-    if arr.ndim != 2:
-        raise SchemaError(f"field '{field}' has ragged rows")
-    if rows is not None and arr.shape != (rows, cols):
-        raise SchemaError(
-            f"field '{field}' has shape {arr.shape}, declared {rows}x{cols}"
-        )
-    return arr
+def _checked(accept, what):
+    """Reader of the values ``accept`` takes, described as ``what`` in errors."""
+    def read(value, field):
+        if not accept(value):
+            raise SchemaError(f"field '{field}' must be {what}")
+        return value
+    return read
 
 
 def _as_int(value, field):
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise SchemaError(f"field '{field}' must be an integer")
     return value
+
+
+def _floats(value, types, field) -> np.ndarray:
+    """``value`` as a float array, where ``types`` are the types of its
+    scalars.  The number rule: each scalar must be a JSON number (an int or a
+    float, not a bool) that converts to a finite double."""
+    if types <= {int, float}:
+        try:
+            arr = np.array(value, dtype=float)
+        except OverflowError:  # an int beyond the double range
+            pass
+        else:
+            if np.isfinite(arr).all():
+                return arr
+    raise SchemaError(f"field '{field}' contains a non-numeric entry: numbers must "
+                      "be finite JSON numbers")
+
+
+def _number(value, field) -> float:
+    return float(_floats(value, {type(value)}, field))
+
+
+def _reals(value, field) -> np.ndarray:
+    if not isinstance(value, list):
+        raise SchemaError(f"field '{field}' must be a list of numbers")
+    return _floats(value, set(map(type, value)), field)
 
 
 def _num(value) -> float:
@@ -166,10 +184,29 @@ def encode_real_matrix(mat) -> dict:
     }
 
 
-def decode_real_matrix(payload, field="matrix") -> np.ndarray:
+def _grids(payload, field, keys) -> list:
+    """The row lists under ``keys`` of a matrix payload, as float arrays of
+    its declared shape."""
     rows = _as_int(_require(payload, "rows", field), f"{field}.rows")
     cols = _as_int(_require(payload, "cols", field), f"{field}.cols")
-    return _as_grid(_require(payload, "data", field), f"{field}.data", rows, cols)
+    out = []
+    for key in keys:
+        value, where = _require(payload, key, field), f"{field}.{key}"
+        if not isinstance(value, list) or any(not isinstance(r, list) for r in value):
+            raise SchemaError(f"field '{where}' must be a list of rows")
+        if len({len(r) for r in value}) > 1:
+            raise SchemaError(f"field '{where}' has ragged rows")
+        arr = _floats(value, {type(v) for r in value for v in r}, where)
+        if not value:  # no rows, so no column count either
+            arr = arr.reshape(0, max(cols, 0))
+        if arr.shape != (rows, cols):
+            raise SchemaError(f"field '{where}' has shape {arr.shape}, declared {rows}x{cols}")
+        out.append(arr)
+    return out
+
+
+def decode_real_matrix(payload, field="matrix") -> np.ndarray:
+    return _grids(payload, field, ("data",))[0]
 
 
 def encode_complex_matrix(mat) -> dict:
@@ -185,10 +222,7 @@ def encode_complex_matrix(mat) -> dict:
 
 
 def decode_complex_matrix(payload, field="matrix") -> np.ndarray:
-    rows = _as_int(_require(payload, "rows", field), f"{field}.rows")
-    cols = _as_int(_require(payload, "cols", field), f"{field}.cols")
-    re = _as_grid(_require(payload, "re", field), f"{field}.re", rows, cols)
-    im = _as_grid(_require(payload, "im", field), f"{field}.im", rows, cols)
+    re, im = _grids(payload, field, ("re", "im"))
     return re + 1j * im
 
 
@@ -198,11 +232,8 @@ def encode_complex_scalar(z) -> dict:
 
 
 def decode_complex_scalar(payload, field="value") -> complex:
-    re = _require(payload, "re", field)
-    im = _require(payload, "im", field)
-    if isinstance(re, list) or isinstance(im, list):
-        raise SchemaError(f"field '{field}' must be a complex scalar, not a matrix")
-    return complex(float(re), float(im))
+    return complex(_number(_require(payload, "re", field), f"{field}.re"),
+                   _number(_require(payload, "im", field), f"{field}.im"))
 
 
 def encode_state_space(ss: StateSpace) -> dict:
@@ -248,12 +279,13 @@ def decode_rational_entries(payload) -> list:
         raise SchemaError("field 'entries' must be a non-empty list")
     out = []
     for i, item in enumerate(raw):
-        num = _require(item, "num", f"entries[{i}]")
-        den = _require(item, "den", f"entries[{i}]")
+        where = f"entries[{i}]"
+        num = _reals(_require(item, "num", where), f"{where}.num")
+        den = _reals(_require(item, "den", where), f"{where}.den")
         try:
             out.append(RationalEntry(tuple(num), tuple(den)))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"entries[{i}] is not a valid rational entry: {exc}") from exc
+        except ValueError as exc:
+            raise SchemaError(f"{where} is not a valid rational entry: {exc}") from exc
     return out
 
 
@@ -262,174 +294,151 @@ def rational_entries_to_state_space(entries) -> StateSpace:
     return block_diag([siso_realization(e) for e in entries])
 
 
-def system_from_payload(payload) -> StateSpace:
-    """Decode either a state-space or a rational-diagonal payload to a StateSpace."""
-    kind = detect_payload(payload)
-    if kind == "state_space":
+def system_from_payload(payload, source="system payload") -> StateSpace:
+    """Decode either a state-space or a rational-diagonal payload to a
+    StateSpace; ``source`` names the payload when it is neither."""
+    if _require_kind(payload, ("state_space", "rational_entries"), source) == "state_space":
         return decode_state_space(payload)
-    if kind == "rational_entries":
-        return rational_entries_to_state_space(decode_rational_entries(payload))
-    raise SchemaError(f"expected a system payload, found '{kind}'")
+    return rational_entries_to_state_space(decode_rational_entries(payload))
+
+
+# Field codecs of the record formats: (writer, reader) pairs, where the reader
+# takes the field's JSON value and its name, to be named in errors.
+
+def _complex_list(value, field) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"field '{field}' must be a list of complex scalars")
+    return [decode_complex_scalar(z, f"{field}[{i}]") for i, z in enumerate(value)]
+
+
+def _residuals(value, field) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"field '{field}' must be an object of numbers")
+    return {str(k): _number(v, f"{field}.{k}") for k, v in value.items()}
+
+
+def _optional(codec):
+    """``codec`` extended to null."""
+    write, read = codec
+    return (lambda x: None if x is None else write(x),
+            lambda value, field: None if value is None else read(value, field))
+
+
+_REAL = (encode_real_matrix, decode_real_matrix)
+_COMPLEX = (encode_complex_matrix, decode_complex_matrix)
+_NUMBER = (float, _number)
+_FLAG = (bool, _checked(lambda v: isinstance(v, bool), "true or false"))
+_RESIDUALS = (lambda d: {k: float(v) for k, v in sorted(d.items())}, _residuals)
+_COMPLEXES = (lambda zs: [encode_complex_scalar(z) for z in zs], _complex_list)
+_COMPLEX_ARRAY = (_COMPLEXES[0],
+                  lambda v, field: np.array(_complex_list(v, field), dtype=complex))
+
+# kind -> (class, {field: codec}): each record format's fields, in decoding
+# order; a field is read from and written to the attribute of the same name
+_FORMATS = {
+    "pm_params": (PmParams, dict.fromkeys(("D", "M", "R", "Theta"), _REAL)),
+    "ac_params": (AcParams, dict.fromkeys(("S", "N1", "N2", "H1", "H2", "E1", "E2"),
+                                          _COMPLEX)),
+    "skew_factorization": (SkewFactorization, {
+        "Sigma": _REAL, "O": _REAL, "deltas": (lambda xs: [float(x) for x in xs], _reals),
+    }),
+    "pr_report": (PrReport, {
+        "verdict": (str, _checked(("PR", "not-PR", "inconclusive").__contains__,
+                                  "PR, not-PR or inconclusive")),
+        "d_orthogonality_residual": _NUMBER,
+        "d_symplectic_residual": _NUMBER,
+        "jj_unitarity_max_residual": _optional(_NUMBER),
+        "sample_points": _COMPLEXES,
+        "failure_reason": _optional((str, _checked(lambda v: isinstance(v, str), "text"))),
+        "condition_residuals": _RESIDUALS,
+    }),
+    "spectrum_report": (SpectrumReport, {
+        "poles": _COMPLEX_ARRAY,
+        "zeros": _COMPLEX_ARRAY,
+        "mirror_symmetric": _FLAG,
+        "spectrally_generic": _FLAG,
+        "max_pairing_distance": _NUMBER,
+    }),
+    "synthesis_result": (SynthesisResult, {
+        "F": _REAL,
+        "Rhat": _REAL,
+        "Sigma": _REAL,
+        "params": (lambda obj: _encode("pm_params", obj),
+                   lambda value, field: _decode("pm_params", value)),
+        "equation_residuals": _RESIDUALS,
+        "reduced_from": _optional((int, _as_int)),
+    }),
+}
+
+# required-field fingerprints used by detect_payload; the record formats a
+# user hands in take theirs from _FORMATS
+_FINGERPRINTS = {
+    "state_space": {"n", "m", "A", "B", "C", "D"},
+    "rational_entries": {"entries"},
+    **{kind: set(_FORMATS[kind][1]) for kind in ("pm_params", "ac_params")},
+    "real_matrix": {"rows", "cols", "data"},
+    "complex_matrix": {"rows", "cols", "re", "im"},
+    "skew_factorization": set(_FORMATS["skew_factorization"][1]),
+}
+
+
+def _encode(kind, obj) -> dict:
+    return {key: write(getattr(obj, key)) for key, (write, _) in _FORMATS[kind][1].items()}
+
+
+def _decode(kind, payload):
+    cls, fields = _FORMATS[kind]
+    values = {key: read(_require(payload, key, kind), key)
+              for key, (_, read) in fields.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise SchemaError(f"{kind} payload is inconsistent: {exc}") from exc
 
 
 def encode_pm_params(params: PmParams) -> dict:
-    return {
-        "D": encode_real_matrix(params.D),
-        "M": encode_real_matrix(params.M),
-        "R": encode_real_matrix(params.R),
-        "Theta": encode_real_matrix(params.Theta),
-    }
+    return _encode("pm_params", params)
 
 
 def decode_pm_params(payload) -> PmParams:
-    mats = {
-        key: decode_real_matrix(_require(payload, key, "pm_params"), key)
-        for key in ("D", "M", "R", "Theta")
-    }
-    try:
-        return PmParams(mats["D"], mats["M"], mats["R"], mats["Theta"])
-    except ValueError as exc:
-        raise SchemaError(f"pm_params payload is inconsistent: {exc}") from exc
+    return _decode("pm_params", payload)
 
 
 def encode_ac_params(params: AcParams) -> dict:
-    return {
-        key: encode_complex_matrix(getattr(params, key))
-        for key in ("S", "N1", "N2", "H1", "H2", "E1", "E2")
-    }
+    return _encode("ac_params", params)
 
 
 def decode_ac_params(payload) -> AcParams:
-    mats = {
-        key: decode_complex_matrix(_require(payload, key, "ac_params"), key)
-        for key in ("S", "N1", "N2", "H1", "H2", "E1", "E2")
-    }
-    try:
-        return AcParams(**mats)
-    except ValueError as exc:
-        raise SchemaError(f"ac_params payload is inconsistent: {exc}") from exc
+    return _decode("ac_params", payload)
 
 
 def encode_skew_factorization(fact: SkewFactorization) -> dict:
-    return {
-        "Sigma": encode_real_matrix(fact.Sigma),
-        "O": encode_real_matrix(fact.O),
-        "deltas": [float(d) for d in fact.deltas],
-    }
+    return _encode("skew_factorization", fact)
 
 
 def decode_skew_factorization(payload) -> SkewFactorization:
-    sigma = decode_real_matrix(_require(payload, "Sigma", "skew_factorization"), "Sigma")
-    o = decode_real_matrix(_require(payload, "O", "skew_factorization"), "O")
-    deltas = _require(payload, "deltas", "skew_factorization")
-    if not isinstance(deltas, list):
-        raise SchemaError("field 'deltas' must be a list of positive reals")
-    return SkewFactorization(sigma, o, np.array([float(d) for d in deltas]))
+    return _decode("skew_factorization", payload)
 
 
 def encode_pr_report(report: PrReport) -> dict:
-    return {
-        "verdict": report.verdict,
-        "d_orthogonality_residual": float(report.d_orthogonality_residual),
-        "d_symplectic_residual": float(report.d_symplectic_residual),
-        "jj_unitarity_max_residual": (
-            None
-            if report.jj_unitarity_max_residual is None
-            else float(report.jj_unitarity_max_residual)
-        ),
-        "sample_points": [encode_complex_scalar(s) for s in report.sample_points],
-        "failure_reason": report.failure_reason,
-        "condition_residuals": {
-            k: float(v) for k, v in sorted(report.condition_residuals.items())
-        },
-    }
+    return _encode("pr_report", report)
 
 
 def decode_pr_report(payload) -> PrReport:
-    verdict = _require(payload, "verdict", "pr_report")
-    if verdict not in ("PR", "not-PR", "inconclusive"):
-        raise SchemaError(f"field 'verdict' has unknown value {verdict!r}")
-    jj = _require(payload, "jj_unitarity_max_residual", "pr_report")
-    return PrReport(
-        verdict=verdict,
-        d_orthogonality_residual=float(
-            _require(payload, "d_orthogonality_residual", "pr_report")
-        ),
-        d_symplectic_residual=float(
-            _require(payload, "d_symplectic_residual", "pr_report")
-        ),
-        jj_unitarity_max_residual=None if jj is None else float(jj),
-        sample_points=[
-            decode_complex_scalar(s, f"sample_points[{i}]")
-            for i, s in enumerate(_require(payload, "sample_points", "pr_report"))
-        ],
-        failure_reason=_require(payload, "failure_reason", "pr_report"),
-        condition_residuals={
-            str(k): float(v)
-            for k, v in _require(payload, "condition_residuals", "pr_report").items()
-        },
-    )
+    return _decode("pr_report", payload)
 
 
 def encode_spectrum_report(report: SpectrumReport) -> dict:
-    return {
-        "poles": [encode_complex_scalar(z) for z in report.poles],
-        "zeros": [encode_complex_scalar(z) for z in report.zeros],
-        "mirror_symmetric": bool(report.mirror_symmetric),
-        "spectrally_generic": bool(report.spectrally_generic),
-        "max_pairing_distance": float(report.max_pairing_distance),
-    }
+    return _encode("spectrum_report", report)
 
 
 def decode_spectrum_report(payload) -> SpectrumReport:
-    return SpectrumReport(
-        poles=np.array(
-            [
-                decode_complex_scalar(z, f"poles[{i}]")
-                for i, z in enumerate(_require(payload, "poles", "spectrum_report"))
-            ],
-            dtype=complex,
-        ),
-        zeros=np.array(
-            [
-                decode_complex_scalar(z, f"zeros[{i}]")
-                for i, z in enumerate(_require(payload, "zeros", "spectrum_report"))
-            ],
-            dtype=complex,
-        ),
-        mirror_symmetric=bool(_require(payload, "mirror_symmetric", "spectrum_report")),
-        spectrally_generic=bool(
-            _require(payload, "spectrally_generic", "spectrum_report")
-        ),
-        max_pairing_distance=float(
-            _require(payload, "max_pairing_distance", "spectrum_report")
-        ),
-    )
+    return _decode("spectrum_report", payload)
 
 
 def encode_synthesis_result(result: SynthesisResult) -> dict:
-    return {
-        "F": encode_real_matrix(result.F),
-        "Rhat": encode_real_matrix(result.Rhat),
-        "Sigma": encode_real_matrix(result.Sigma),
-        "params": encode_pm_params(result.params),
-        "equation_residuals": {
-            k: float(v) for k, v in sorted(result.equation_residuals.items())
-        },
-        "reduced_from": result.reduced_from,
-    }
+    return _encode("synthesis_result", result)
 
 
 def decode_synthesis_result(payload) -> SynthesisResult:
-    reduced = _require(payload, "reduced_from", "synthesis_result")
-    return SynthesisResult(
-        F=decode_real_matrix(_require(payload, "F", "synthesis_result"), "F"),
-        Rhat=decode_real_matrix(_require(payload, "Rhat", "synthesis_result"), "Rhat"),
-        Sigma=decode_real_matrix(_require(payload, "Sigma", "synthesis_result"), "Sigma"),
-        params=decode_pm_params(_require(payload, "params", "synthesis_result")),
-        equation_residuals={
-            str(k): float(v)
-            for k, v in _require(payload, "equation_residuals", "synthesis_result").items()
-        },
-        reduced_from=None if reduced is None else int(reduced),
-    )
+    return _decode("synthesis_result", payload)

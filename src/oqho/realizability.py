@@ -388,7 +388,8 @@ def _solve_f(ss: StateSpace, tol: float = 1e-8, spectrum: tuple | None = None):
     When the eigenvector basis is singular or the candidate fails the gate (a
     defective basis, or an unrealizable system), the same solve runs once more
     on the equivalent equation under state feedback, and that candidate must
-    pass the gate.  The raw asymmetry of the solution is recorded before it
+    pass the gate; with B = 0 there is no feedback, and the first pass's error
+    stands.  The raw asymmetry of the solution is recorded before it
     is removed.
     """
     if ss.state_dim == 0:
@@ -426,7 +427,7 @@ def _solve_f(ss: StateSpace, tol: float = 1e-8, spectrum: tuple | None = None):
         return gate(_lyapunov_f(spectrum, q, b_dinv, ctj))
     except (np.linalg.LinAlgError, SingularMatrixError, NotRealizableError):
         if not ss.B.any():  # the feedback shift below divides by |B|^2
-            raise SingularMatrixError("similarity matrix F is singular: B = 0") from None
+            raise
     # Feedback K moves the poles of a controllable pair and so splits a
     # defective eigenbasis (Wonham, IEEE TAC 12(6), 1967).  As B^T F = J D^{-1} C
     # and F B = C^T J D, F solves (A + BK)^T F + F (A + BK) = C^T J C

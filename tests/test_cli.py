@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,59 @@ def test_non_finite_input_is_a_usage_error(tmp_path, capsys, key, literal, argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {path} is not valid JSON: non-finite number {literal}\n"
+
+
+@pytest.mark.parametrize("literal", ["null", '"NaN"', "true"])
+@pytest.mark.parametrize("argv", [["check"], ["check", "--theta", "J"], ["synthesize"]])
+def test_non_number_entry_is_a_usage_error(tmp_path, capsys, literal, argv):
+    payload = jsonio.encode_state_space(example_state_space())
+    payload["A"]["data"][0][0] = "ENTRY"
+    path = tmp_path / "sys.json"
+    path.write_text(jsonio.dumps(payload).replace('"ENTRY"', literal))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: field 'A.data' contains a non-numeric entry: numbers must "
+                   "be finite JSON numbers\n")
+
+
+def test_convert_refuses_a_null_entry(tmp_path, capsys):
+    payload = jsonio.encode_pm_params(example_pm_params())
+    payload["M"]["data"][0][0] = None
+    path = write(tmp_path, "pm.json", payload)
+    out_path = tmp_path / "ac.json"
+    code, out, err = run(capsys, "convert", "--input", path, "--direction", "pm2ac",
+                         "--output", str(out_path))
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert "'M.data' contains a non-numeric entry" in err
+
+
+@pytest.mark.parametrize("argv, found, expected", [
+    (["convert", "--direction", "pm2ac", "--input", "{ac}"], "ac_params", "pm_params"),
+    (["convert", "--direction", "ac2pm", "--input", "{pm}"], "pm_params", "ac_params"),
+    (["factor", "--input", "{pm}"], "pm_params", "real_matrix"),
+    (["check", "--input", "{system}", "--theta", "{pm}"], "pm_params", "real_matrix"),
+    (["spectrum", "--input", "{theta}"], "real_matrix",
+     "state_space or rational_entries"),
+])
+def test_wrong_payload_kind_names_file_kind_and_expected_kinds(
+        tmp_path, capsys, argv, found, expected):
+    files = {
+        "ac": write(tmp_path, "ac.json", jsonio.encode_ac_params(example_ac_params())),
+        "pm": write(tmp_path, "pm.json", jsonio.encode_pm_params(example_pm_params())),
+        "system": write(tmp_path, "sys.json",
+                        jsonio.encode_state_space(example_state_space())),
+        "theta": write(tmp_path, "theta.json", jsonio.encode_real_matrix(j_matrix(4))),
+    }
+    argv = [arg.format(**files) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    path = files[{"ac_params": "ac", "pm_params": "pm", "real_matrix": "theta"}[found]]
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path} holds {found}, expected {expected}\n"
 
 
 def test_zero_channel_system_is_a_usage_error(tmp_path, capsys):

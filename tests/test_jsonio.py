@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -60,6 +61,11 @@ class TestDecodeErrors:
     def test_non_numeric_entry(self):
         with pytest.raises(SchemaError, match="non-numeric"):
             jsonio.decode_real_matrix({"rows": 1, "cols": 1, "data": [["x"]]})
+
+    def test_rowless_data_must_match_the_declared_shape(self):
+        for rows, cols in ((2, 2), (-1, 0), (0, -2)):
+            with pytest.raises(SchemaError, match=f"declared {rows}x{cols}"):
+                jsonio.decode_real_matrix({"rows": rows, "cols": cols, "data": []})
 
     def test_non_integer_dimension(self):
         with pytest.raises(SchemaError, match="'matrix.rows'"):
@@ -232,3 +238,118 @@ def test_integer_beyond_double_range_is_a_schema_error():
     payload = {"rows": 1, "cols": 1, "data": [[10**400]]}
     with pytest.raises(SchemaError, match="non-numeric entry"):
         jsonio.decode_real_matrix(payload)
+
+
+@pytest.mark.parametrize("entry", [None, "NaN", "Infinity", "1e999", "4", True, False,
+                                   [1.0], {"re": 1.0}, float("nan"), float("inf")])
+def test_matrix_entries_must_be_finite_json_numbers(entry):
+    payload = jsonio.encode_real_matrix(np.eye(2))
+    payload["data"][0][0] = entry
+    with pytest.raises(SchemaError, match="'matrix.data' contains a non-numeric entry"):
+        jsonio.decode_real_matrix(payload)
+    payload = jsonio.encode_complex_matrix(np.eye(2))
+    payload["im"][1][0] = entry
+    with pytest.raises(SchemaError, match="'matrix.im' contains a non-numeric entry"):
+        jsonio.decode_complex_matrix(payload)
+
+
+def test_matrix_entries_may_be_ints():
+    mat = jsonio.decode_real_matrix({"rows": 1, "cols": 2, "data": [[3, -1]]})
+    assert mat.dtype == float and mat.tolist() == [[3.0, -1.0]]
+
+
+@pytest.mark.parametrize("entry", [None, "NaN", "1.5", True, [0.0], float("-inf")])
+def test_complex_scalar_parts_must_be_finite_json_numbers(entry):
+    with pytest.raises(SchemaError, match="'value.im' contains a non-numeric entry"):
+        jsonio.decode_complex_scalar({"re": 1.0, "im": entry})
+
+
+@pytest.mark.parametrize("coefficients", ["12", [1.0, None], [1.0, "2"], [True, 1.0], 1.0])
+def test_rational_coefficients_must_be_lists_of_finite_numbers(coefficients):
+    payload = {"entries": [{"num": coefficients, "den": [1.0, 1.0]}]}
+    with pytest.raises(SchemaError, match=r"'entries\[0\]\.num'"):
+        jsonio.decode_rational_entries(payload)
+
+
+def test_skew_deltas_must_be_a_list_of_finite_numbers():
+    payload = reload(jsonio.encode_skew_factorization(cholesky_like(j_matrix(4))))
+    for deltas in ([1.0, None], [1.0, "NaN"], "1.0", {"0": 1.0}):
+        payload["deltas"] = deltas
+        with pytest.raises(SchemaError, match="'deltas'"):
+            jsonio.decode_skew_factorization(payload)
+
+
+def _report_payloads():
+    return {
+        "pr_report": reload(jsonio.encode_pr_report(check_pr_frequency(example_state_space()))),
+        "spectrum_report": reload(
+            jsonio.encode_spectrum_report(spectrum_report(example_state_space()))),
+        "synthesis_result": reload(
+            jsonio.encode_synthesis_result(synthesize(example_state_space()))),
+    }
+
+
+@pytest.mark.parametrize("kind, field, value, match", [
+    ("pr_report", "d_orthogonality_residual", None, "non-numeric"),
+    ("pr_report", "d_symplectic_residual", "NaN", "non-numeric"),
+    ("pr_report", "jj_unitarity_max_residual", "Infinity", "non-numeric"),
+    ("pr_report", "jj_unitarity_max_residual", True, "non-numeric"),
+    ("pr_report", "sample_points", [{"re": None, "im": 0.0}], r"sample_points\[0\]\.re"),
+    ("pr_report", "sample_points", {"re": 1.0, "im": 0.0}, "'sample_points' must be a list"),
+    ("pr_report", "condition_residuals", {"x": "0.5"}, "condition_residuals.x"),
+    ("pr_report", "condition_residuals", [0.5], "must be an object"),
+    ("pr_report", "failure_reason", 3, "must be text"),
+    ("pr_report", "verdict", "maybe", "'verdict' must be"),
+    ("spectrum_report", "mirror_symmetric", 1, "true or false"),
+    ("spectrum_report", "spectrally_generic", "false", "true or false"),
+    ("spectrum_report", "max_pairing_distance", None, "non-numeric"),
+    ("spectrum_report", "poles", [{"re": "1e999", "im": 0.0}], r"poles\[0\]\.re"),
+    ("synthesis_result", "reduced_from", "4", "'reduced_from' must be an integer"),
+    ("synthesis_result", "reduced_from", 4.0, "'reduced_from' must be an integer"),
+    ("synthesis_result", "equation_residuals", {"x": None}, "equation_residuals.x"),
+])
+def test_report_fields_follow_the_number_rule(kind, field, value, match):
+    payload = _report_payloads()[kind]
+    payload[field] = value
+    with pytest.raises(SchemaError, match=match):
+        getattr(jsonio, f"decode_{kind}")(payload)
+
+
+def test_report_nulls_where_allowed():
+    payload = _report_payloads()["pr_report"]
+    payload.update(jj_unitarity_max_residual=None, failure_reason=None)
+    report = jsonio.decode_pr_report(payload)
+    assert report.jj_unitarity_max_residual is None and report.failure_reason is None
+    payload = _report_payloads()["synthesis_result"]
+    payload["reduced_from"] = 6
+    assert jsonio.decode_synthesis_result(payload).reduced_from == 6
+
+
+@pytest.mark.parametrize("literal", ["null", '"NaN"', '"Infinity"', '"1e999"', "true"])
+def test_loaded_file_with_a_non_number_entry_is_refused(tmp_path, literal):
+    path = tmp_path / "sys.json"
+    payload = jsonio.encode_state_space(example_state_space())
+    payload["A"]["data"][0][0] = "ENTRY"
+    path.write_text(jsonio.dumps(payload).replace('"ENTRY"', literal))
+    with pytest.raises(SchemaError, match="'A.data' contains a non-numeric entry"):
+        jsonio.system_from_payload(jsonio.load_path(str(path)))
+
+
+def test_load_path_requires_one_of_the_named_kinds(tmp_path):
+    path = tmp_path / "pm.json"
+    path.write_text(jsonio.dumps(jsonio.encode_pm_params(example_pm_params())))
+    assert set(jsonio.load_path(str(path), ("ac_params", "pm_params"))) == {
+        "D", "M", "R", "Theta"}
+    with pytest.raises(SchemaError) as info:
+        jsonio.load_path(str(path), ("real_matrix",))
+    assert str(info.value) == f"{path} holds pm_params, expected real_matrix"
+    with pytest.raises(SchemaError) as info:
+        jsonio.system_from_payload(jsonio.load_path(str(path)), str(path))
+    assert str(info.value) == (
+        f"{path} holds pm_params, expected state_space or rational_entries")
+
+
+def test_record_formats_cover_their_classes_and_fingerprints():
+    for kind, (cls, fields) in jsonio._FORMATS.items():
+        assert set(fields) == {f.name for f in dataclasses.fields(cls)}, kind
+        assert jsonio._FINGERPRINTS.get(kind, set(fields)) == set(fields), kind

@@ -643,13 +643,13 @@ def test_compute_f_raises_when_eigendecomposition_fails(monkeypatch, tmp_path, c
     assert capsys.readouterr().err.startswith("numerical failure:")
 
 
-def test_compute_f_with_zero_input_matrix_is_singular():
-    """B = 0 leaves F undetermined: SingularMatrixError, with no warning from
-    the feedback shift."""
+def test_compute_f_with_zero_input_matrix_reraises_the_first_pass():
+    """B = 0 leaves no feedback shift: the first pass's error stands (here the
+    gate's, as the output coupling fails), with no warning from the shift."""
     ss = StateSpace(-np.eye(2), np.zeros((2, 2)), np.eye(2), np.eye(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(NotRealizableError, match="not realizable or not minimal"):
             compute_f(ss)
 
 

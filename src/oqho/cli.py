@@ -27,6 +27,7 @@ from .errors import (
 )
 from .forms import ac_to_pm, pm_to_ac
 from .realizability import (
+    VERDICT_TOLERANCE,
     check_pr_frequency,
     check_pr_time_domain,
     synthesize,
@@ -71,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="commutation matrix: the literal J or a "
                                 "real-matrix JSON file")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-8,
+            p.add_argument("--tol", type=float, default=VERDICT_TOLERANCE,
                            help="residual tolerance (default 1e-8)")
         if sampling:
             p.add_argument("--samples", type=int, default=20,
@@ -109,10 +110,21 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _resolve_theta(selector: str, dim: int) -> np.ndarray:
-    if selector == "J":
-        return j_matrix(dim)
-    return jsonio.decode_real_matrix(jsonio.load_path(selector, ("real_matrix",)), "theta")
+def _read(path: str, kinds: tuple, decode):
+    """``decode`` of the input file at ``path``, which must hold one of
+    ``kinds``; every error about the file's content names it once."""
+    payload = jsonio.load_path(path, kinds)  # its own errors name the file
+    try:
+        return decode(payload)
+    except (SchemaError, DimensionError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+_read_system = functools.partial(_read, kinds=("state_space", "rational_entries"),
+                                 decode=jsonio.system_from_payload)
+_read_theta = functools.partial(
+    _read, kinds=("real_matrix",),
+    decode=functools.partial(jsonio.decode_real_matrix, field="theta"))
 
 
 def _check_sample_budget(num_samples: int, state_dim: int) -> None:
@@ -124,13 +136,13 @@ def _check_sample_budget(num_samples: int, state_dim: int) -> None:
 
 
 def _cmd_check(args) -> int:
-    ss = jsonio.system_from_payload(jsonio.load_path(args.input), args.input)
+    ss = _read_system(args.input)
     if args.theta is None:
         _check_sample_budget(args.samples, ss.state_dim)
         report = check_pr_frequency(ss, tol=args.tol, num_samples=args.samples,
                                     seed=args.seed)
     else:
-        theta = _resolve_theta(args.theta, ss.state_dim)
+        theta = j_matrix(ss.state_dim) if args.theta == "J" else _read_theta(args.theta)
         report = check_pr_time_domain(ss, theta, tol=args.tol)
     _emit(jsonio.dumps(jsonio.encode_pr_report(report)), args.output)
     if report.failure_reason:
@@ -139,12 +151,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    ss = jsonio.system_from_payload(jsonio.load_path(args.input), args.input)
+    ss = _read_system(args.input)
     _check_sample_budget(args.samples, ss.state_dim)
-    selector = args.theta if args.theta is not None else "J"
-    theta = None
-    if selector != "J":
-        theta = _resolve_theta(selector, ss.state_dim)
+    # None selects the J of the minimal state's size
+    theta = None if args.theta in (None, "J") else _read_theta(args.theta)
     try:
         result = synthesize(ss, theta_target=theta, tol=args.tol,
                             num_samples=args.samples, seed=args.seed)
@@ -164,30 +174,29 @@ def _cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
-# direction -> (input payload kind, conversion of its payload to the output's)
+# direction -> (input payload kind, its decoder, conversion to the output payload)
 _CONVERSIONS = {
-    "pm2ac": ("pm_params",
-              lambda p: jsonio.encode_ac_params(pm_to_ac(jsonio.decode_pm_params(p)))),
-    "ac2pm": ("ac_params",
-              lambda p: jsonio.encode_pm_params(ac_to_pm(jsonio.decode_ac_params(p)))),
+    "pm2ac": ("pm_params", jsonio.decode_pm_params,
+              lambda params: jsonio.encode_ac_params(pm_to_ac(params))),
+    "ac2pm": ("ac_params", jsonio.decode_ac_params,
+              lambda params: jsonio.encode_pm_params(ac_to_pm(params))),
 }
 
 
 def _cmd_convert(args) -> int:
-    kind, convert = _CONVERSIONS[args.direction]
-    _emit(jsonio.dumps(convert(jsonio.load_path(args.input, (kind,)))), args.output)
+    kind, decode, convert = _CONVERSIONS[args.direction]
+    _emit(jsonio.dumps(convert(_read(args.input, (kind,), decode))), args.output)
     return EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
-    ss = jsonio.system_from_payload(jsonio.load_path(args.input), args.input)
-    report = spectrum_report(ss)
+    report = spectrum_report(_read_system(args.input))
     _emit(jsonio.dumps(jsonio.encode_spectrum_report(report)), args.output)
     return EXIT_OK
 
 
 def _cmd_factor(args) -> int:
-    theta = jsonio.decode_real_matrix(jsonio.load_path(args.input, ("real_matrix",)))
+    theta = _read(args.input, ("real_matrix",), jsonio.decode_real_matrix)
     fact = cholesky_like(theta)
     _emit(jsonio.dumps(jsonio.encode_skew_factorization(fact)), args.output)
     sys.stderr.write(

@@ -114,8 +114,11 @@ def detect_payload(payload) -> str:
 
 def _require_kind(payload, kinds, source) -> str:
     """The kind of ``payload``, which must be one of ``kinds``; ``source``
-    names the payload in the error."""
-    kind = detect_payload(payload)
+    names the payload in every error."""
+    try:
+        kind = detect_payload(payload)
+    except SchemaError as exc:
+        raise SchemaError(f"{source}: {exc}") from exc
     if kind not in kinds:
         raise SchemaError(f"{source} holds {kind}, expected {' or '.join(kinds)}")
     return kind

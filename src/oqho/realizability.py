@@ -32,7 +32,7 @@ the same equation under state feedback.  Every candidate must pass the
 residual gate of the three similarity equations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,11 +80,13 @@ __all__ = [
 SAMPLE_MAGNITUDE_RANGE = (1e-2, 1e2)
 # candidate points closer than this to a pole of G or G~ are redrawn
 SAMPLE_EXCLUSION = 1e-6
+# default residual tolerance of every verdict: the checks, the F gate, the CLI
+VERDICT_TOLERANCE = 1e-8
 # end-to-end tolerance for the synthesize rebuild verification
 REBUILD_TOLERANCE = 1e-7
 # |l_i + l_j| <= DEGENERATE_PAIR_CUTOFF * max|l| marks a degenerate pole pair of
 # the F solve: dividing by l_i + l_j amplifies rounding by 1/|l_i + l_j|, and
-# above the cutoff that error stays far below the 1e-8 residual gate
+# above the cutoff that error stays far below VERDICT_TOLERANCE
 DEGENERATE_PAIR_CUTOFF = 1e-6
 
 
@@ -130,6 +132,35 @@ class SynthesisResult:
     params: PmParams
     equation_residuals: dict
     reduced_from: int | None = None
+
+
+def _violations(residuals: dict, tol: float) -> str | None:
+    """The verdict rule: the residuals above ``tol``, worded, or None when
+    every one is within it; a NaN residual is never within it."""
+    failures = {k: v for k, v in residuals.items() if not v <= tol}
+    if not failures:
+        return None
+    worst = max(failures, key=failures.get)
+    return (", ".join(f"{k} residual {v:.3e}" for k, v in sorted(failures.items()))
+            + f"; dominant: {worst}")
+
+
+def _report(domain: str, conditions: dict, gated, tol: float,
+            jj: JjUnitarityResult | None = None) -> PrReport:
+    """Report of a check whose ``gated`` conditions decide its verdict;
+    ``conditions`` holds the D residuals, ``jj`` the sampled (J,J) defect."""
+    reason = _violations({k: conditions[k] for k in gated}, tol)
+    if reason is not None:
+        reason = f"{domain}-domain conditions violated: {reason}"
+    return PrReport(
+        verdict="PR" if reason is None else "not-PR",
+        d_orthogonality_residual=conditions["d_orthogonality"],
+        d_symplectic_residual=conditions["d_symplectic"],
+        jj_unitarity_max_residual=None if jj is None else jj.max_residual,
+        sample_points=[] if jj is None else jj.sample_points,
+        failure_reason=reason,
+        condition_residuals=conditions,
+    )
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
@@ -192,14 +223,15 @@ def draw_sample_points(avoid, num_points: int, seed: int = 42,
     return points
 
 
-def check_jj_unitary(ss: StateSpace, num_samples: int = 20, tol: float = 1e-8,
+def check_jj_unitary(ss: StateSpace, num_samples: int = 20,
                      seed: int = 42) -> JjUnitarityResult:
-    """Sample the defect of G~(s) J G(s) = J (and its flip) at random points."""
+    """Sample the defect of G~(s) J G(s) = J (and its flip) at random points;
+    it passes within VERDICT_TOLERANCE."""
     ss.require_square_channels()
-    return _sample_jj_defect(ss, _eigensystem(ss.A), num_samples, tol, seed)
+    return _sample_jj_defect(ss, _eigensystem(ss.A), num_samples, seed)
 
 
-def _sample_jj_defect(ss: StateSpace, spectrum: tuple, num_samples: int, tol: float,
+def _sample_jj_defect(ss: StateSpace, spectrum: tuple, num_samples: int,
                       seed: int) -> JjUnitarityResult:
     """check_jj_unitary of a square-channel system whose ``_eigensystem`` is known."""
     j = j_matrix(ss.num_outputs)
@@ -214,11 +246,12 @@ def _sample_jj_defect(ss: StateSpace, spectrum: tuple, num_samples: int, tol: fl
         [_frobenius_norms(g_conj @ j @ g - j), _frobenius_norms(g @ j @ g_conj - j)]
     )
     max_resid = float(np.max(defects, initial=0.0))
-    return JjUnitarityResult(max_resid <= tol, max_resid, pts)
+    passed = _violations({"jj_unitarity": max_resid}, VERDICT_TOLERANCE) is None
+    return JjUnitarityResult(passed, max_resid, pts)
 
 
-def check_pr_frequency(ss: StateSpace, tol: float = 1e-8, num_samples: int = 20,
-                       seed: int = 42) -> PrReport:
+def check_pr_frequency(ss: StateSpace, tol: float = VERDICT_TOLERANCE,
+                       num_samples: int = 20, seed: int = 42) -> PrReport:
     """Frequency-domain realizability verdict for a square even-channel system."""
     return _check_pr_frequency(ss, tol, num_samples, seed)[0]
 
@@ -229,41 +262,22 @@ def _check_pr_frequency(ss: StateSpace, tol: float, num_samples: int,
     reuses the eigensystem for its F solve and its rebuild check."""
     ss.require_square_channels()
     spectrum = _eigensystem(ss.A)
-    d_orth = orthogonality_residual(ss.D)
-    d_symp = symplectic_residual(ss.D)
-    conditions = {"d_orthogonality": d_orth, "d_symplectic": d_symp}
+    conditions = {"d_orthogonality": orthogonality_residual(ss.D),
+                  "d_symplectic": symplectic_residual(ss.D)}
     try:
-        jj = _sample_jj_defect(ss, spectrum, num_samples, tol, seed)
-    except SamplePlacementError as exc:
-        return PrReport(
-            verdict="inconclusive",
-            d_orthogonality_residual=d_orth,
-            d_symplectic_residual=d_symp,
-            jj_unitarity_max_residual=None,
-            sample_points=[],
-            failure_reason=str(exc),
-            condition_residuals=conditions,
-        ), spectrum
+        jj = _sample_jj_defect(ss, spectrum, num_samples, seed)
+    except SamplePlacementError as exc:  # the D residuals, and no verdict
+        report = replace(_report("frequency", conditions, (), tol),
+                         verdict="inconclusive", failure_reason=str(exc))
+        return report, spectrum
     conditions["jj_unitarity"] = jj.max_residual
-    failures = []
-    if not d_orth <= tol:
-        failures.append(f"feedthrough is not orthogonal (residual {d_orth:.3e})")
-    if not jj.passed:
-        failures.append(
-            f"(J,J)-unitarity violated (max sampled residual {jj.max_residual:.3e})"
-        )
-    return PrReport(
-        verdict="PR" if not failures else "not-PR",
-        d_orthogonality_residual=d_orth,
-        d_symplectic_residual=d_symp,
-        jj_unitarity_max_residual=jj.max_residual,
-        sample_points=jj.sample_points,
-        failure_reason="; ".join(failures) if failures else None,
-        condition_residuals=conditions,
-    ), spectrum
+    # D symplectic is reported, not gated: (J,J)-unitarity implies it
+    report = _report("frequency", conditions, ("d_orthogonality", "jj_unitarity"), tol, jj)
+    return report, spectrum
 
 
-def check_pr_time_domain(ss: StateSpace, theta, tol: float = 1e-8) -> PrReport:
+def check_pr_time_domain(ss: StateSpace, theta,
+                         tol: float = VERDICT_TOLERANCE) -> PrReport:
     """Parameter-level realizability verdict against a fixed commutation matrix."""
     channels = ss.require_square_channels()
     theta = np.asarray(theta, dtype=float)
@@ -276,9 +290,8 @@ def check_pr_time_domain(ss: StateSpace, theta, tol: float = 1e-8) -> PrReport:
                        {"theta_skew_symmetry": skew_symmetry_residual(theta)},
                        {"theta_skew_symmetry": theta})
     j = j_matrix(channels)
-    d_orth = orthogonality_residual(ss.D)
-    d_symp = symplectic_residual(ss.D)
-    conditions = {"d_orthogonality": d_orth, "d_symplectic": d_symp}
+    conditions = {"d_orthogonality": orthogonality_residual(ss.D),
+                  "d_symplectic": symplectic_residual(ss.D)}
     if n2:  # a static report carries the D conditions only
         _require_nonsingular(_min_singular_ratio(theta), "commutation matrix Theta")
         theta_inv = np.linalg.inv(theta)
@@ -296,28 +309,7 @@ def check_pr_time_domain(ss: StateSpace, theta, tol: float = 1e-8) -> PrReport:
                 "hamiltonian_reconstruction": hamiltonian,
             }
         )
-    failures = {
-        k: v
-        for k, v in conditions.items()
-        if not v <= tol
-    }
-    reason = None
-    if failures:
-        worst = max(failures, key=failures.get)
-        reason = (
-            "time-domain conditions violated: "
-            + ", ".join(f"{k} residual {v:.3e}" for k, v in sorted(failures.items()))
-            + f"; dominant: {worst}"
-        )
-    return PrReport(
-        verdict="PR" if not failures else "not-PR",
-        d_orthogonality_residual=d_orth,
-        d_symplectic_residual=d_symp,
-        jj_unitarity_max_residual=None,
-        sample_points=[],
-        failure_reason=reason,
-        condition_residuals=conditions,
-    )
+    return _report("time", conditions, conditions, tol)
 
 
 def _lyapunov_f(spectrum: tuple, q: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -353,7 +345,7 @@ def _f_equation_residuals(ss: StateSpace, j, b_dinv, dinv_c, a_inv,
     def rel(x, scale):
         return float(np.linalg.norm(x) / max(1.0, scale))
 
-    res = {
+    return {
         "f_eq_output_coupling": rel(j @ ss.B.T @ f + dinv_c, np.linalg.norm(dinv_c)),
         "f_eq_input_coupling": rel(f @ b_dinv - ss.C.T @ j, np.linalg.norm(b_dinv)),
         "f_eq_state_similarity": rel(
@@ -368,10 +360,9 @@ def _f_equation_residuals(ss: StateSpace, j, b_dinv, dinv_c, a_inv,
             np.linalg.norm(ss.B) ** 2 + 1.0,
         ),
     }
-    return res
 
 
-def _solve_f(ss: StateSpace, tol: float = 1e-8, spectrum: tuple | None = None):
+def _solve_f(ss: StateSpace, tol: float, spectrum: tuple | None = None):
     """Solve the similarity equations for the skew certificate F.
 
     Returns (F, F^{-1}, diagnostics); ``spectrum``, when given, is the
@@ -407,15 +398,12 @@ def _solve_f(ss: StateSpace, tol: float = 1e-8, spectrum: tuple | None = None):
         f_inv = np.linalg.inv(f)
         diagnostics = _f_equation_residuals(ss, j, b_dinv, dinv_c, a_inv, f, f_inv)
         diagnostics["f_raw_asymmetry"] = asym
-        worst = float(np.max([
-            diagnostics[k]
-            for k in ("f_eq_output_coupling", "f_eq_input_coupling", "f_eq_state_similarity")
-        ]))
-        if not worst <= tol:
+        reason = _violations({k: diagnostics[k] for k in ("f_eq_output_coupling",
+                              "f_eq_input_coupling", "f_eq_state_similarity")}, tol)
+        if reason:
             raise NotRealizableError(
                 f"no skew similarity solves the realizability equations "
-                f"(worst residual {worst:.3e}); the system is not realizable or "
-                "not minimal"
+                f"({reason}); the system is not realizable or not minimal"
             )
         return f, f_inv, diagnostics
 
@@ -438,19 +426,20 @@ def _solve_f(ss: StateSpace, tol: float = 1e-8, spectrum: tuple | None = None):
     return gate(_lyapunov_f(_eigensystem(ss.A + ss.B @ k), q_shift, b_dinv, ctj))
 
 
-def compute_f(ss: StateSpace, tol: float = 1e-8) -> np.ndarray:
+def compute_f(ss: StateSpace) -> np.ndarray:
     """Unique skew similarity certificate of a minimal realizable system.
 
     Raises ValueError for static systems, NotRealizableError when no solution
-    of the similarity equations holds within ``tol``, SingularMatrixError when
-    D or the solution is singular to working precision, and LinAlgError
-    when an eigendecomposition fails or both eigenvector bases are singular.
+    of the similarity equations holds within VERDICT_TOLERANCE,
+    SingularMatrixError when D or the solution is singular to working
+    precision, and LinAlgError when an eigendecomposition fails or both
+    eigenvector bases are singular.
     """
-    f, _, _ = _solve_f(ss, tol)
+    f, _, _ = _solve_f(ss, VERDICT_TOLERANCE)
     return f
 
 
-def synthesize(ss: StateSpace, theta_target=None, tol: float = 1e-8,
+def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE,
                num_samples: int = 20, seed: int = 42) -> SynthesisResult:
     """Recover oscillator parameters realizing the given transfer function.
 
@@ -486,27 +475,13 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = 1e-8,
             f"got {theta_target.shape}"
         )
 
-    if n2 == 0:
-        params = PmParams(
-            work.D.copy(),
-            np.zeros((channels, 0)),
-            np.zeros((0, 0)),
-            np.zeros((0, 0)),
-        )
-        residuals = {
-            "f_raw_asymmetry": 0.0,
-            "rhat_symmetry": 0.0,
-            "ccr_factorization": 0.0,
-            "rebuild_max_relative_deviation": 0.0,
-        }
-        return SynthesisResult(
-            F=np.zeros((0, 0)),
-            Rhat=np.zeros((0, 0)),
-            Sigma=np.zeros((0, 0)),
-            params=params,
-            equation_residuals=residuals,
-            reduced_from=reduced_from,
-        )
+    if n2 == 0:  # G = D: the parameters are D alone, and they rebuild G exactly
+        empty = np.zeros((0, 0))
+        params = PmParams(work.D.copy(), np.zeros((channels, 0)), empty, empty)
+        residuals = dict.fromkeys(("f_raw_asymmetry", "rhat_symmetry", "ccr_factorization",
+                                   "rebuild_max_relative_deviation"), 0.0)
+        return SynthesisResult(F=empty, Rhat=empty, Sigma=empty, params=params,
+                               equation_residuals=residuals, reduced_from=reduced_from)
 
     f, f_inv, diagnostics = _solve_f(work, tol, spectrum_work)
     j = j_matrix(channels)
@@ -541,10 +516,12 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = 1e-8,
     residuals["rhat_symmetry"] = rhat_sym
     residuals["ccr_factorization"] = fact_resid
     residuals["rebuild_max_relative_deviation"] = max_dev
-    if not max_dev <= REBUILD_TOLERANCE:
+    deviation = _violations({"rebuild_max_relative_deviation": max_dev},
+                            REBUILD_TOLERANCE)
+    if deviation:
         raise NotRealizableError(
             f"internal verification failed: rebuilt transfer function deviates "
-            f"by {max_dev:.3e}"
+            f"({deviation})"
         )
     td = check_pr_time_domain(rebuilt, theta_target, tol=REBUILD_TOLERANCE)
     if td.verdict != "PR":

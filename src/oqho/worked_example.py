@@ -10,7 +10,7 @@ CLI command.
 import numpy as np
 
 from .forms import AcParams, PmParams, build_pm_realization, pm_to_ac
-from .realizability import check_pr_frequency, synthesize
+from .realizability import VERDICT_TOLERANCE, check_pr_frequency, synthesize
 from .statespace import (
     RationalEntry,
     StateSpace,
@@ -95,7 +95,8 @@ def _fmt_spectrum(values) -> str:
     return ", ".join(parts)
 
 
-def run_worked_example(tol: float = 1e-8, num_samples: int = 20, seed: int = 42):
+def run_worked_example(tol: float = VERDICT_TOLERANCE, num_samples: int = 20,
+                       seed: int = 42):
     """Full pipeline on the reference model.
 
     Returns (lines, payload): human-readable summary lines and a JSON-ready

@@ -86,7 +86,7 @@ def test_check_rejects_non_orthogonal_static(tmp_path, capsys):
     code, out, err = run(capsys, "check", "--input", path)
     assert code == 1
     assert json.loads(out)["verdict"] == "not-PR"
-    assert "not orthogonal" in err
+    assert "d_orthogonality residual 3.092e+00" in err
 
 
 def test_check_time_domain_with_canonical_theta(tmp_path, capsys):
@@ -359,8 +359,8 @@ def test_non_number_entry_is_a_usage_error(tmp_path, capsys, literal, argv):
         code, out, err = run(capsys, *argv, "--input", str(path))
     assert code == 2
     assert out == ""
-    assert err == ("error: field 'A.data' contains a non-numeric entry: numbers must "
-                   "be finite JSON numbers\n")
+    assert err == (f"error: {path}: field 'A.data' contains a non-numeric entry: "
+                   "numbers must be finite JSON numbers\n")
 
 
 def test_convert_refuses_a_null_entry(tmp_path, capsys):
@@ -398,6 +398,41 @@ def test_wrong_payload_kind_names_file_kind_and_expected_kinds(
     assert code == 2
     assert out == ""
     assert err == f"error: {path} holds {found}, expected {expected}\n"
+
+
+@pytest.mark.parametrize("argv, bad, message", [
+    (["check", "--input", "{bad_system}"], "bad_system", "field 'A.data' contains"),
+    (["synthesize", "--input", "{bad_system}"], "bad_system", "field 'A.data' contains"),
+    (["spectrum", "--input", "{bad_system}"], "bad_system", "field 'A.data' contains"),
+    (["spectrum", "--input", "{mismatched}"], "mismatched", "D must be 4x4"),
+    (["convert", "--direction", "pm2ac", "--input", "{bad_pm}"], "bad_pm",
+     "field 'M.data' contains"),
+    (["factor", "--input", "{bad_theta}"], "bad_theta", "field 'matrix.data' contains"),
+    (["check", "--input", "{system}", "--theta", "{bad_theta}"], "bad_theta",
+     "field 'theta.data' contains"),
+    (["synthesize", "--input", "{system}", "--theta", "{bad_theta}"], "bad_theta",
+     "field 'theta.data' contains"),
+    (["check", "--input", "{system}", "--theta", "{unknown}"], "unknown",
+     "unrecognized payload"),
+])
+def test_content_errors_name_the_bad_file_once(tmp_path, capsys, argv, bad, message):
+    system = jsonio.encode_state_space(example_state_space())
+    bad_system = jsonio.encode_state_space(example_state_space())
+    bad_system["A"]["data"][0][0] = None
+    mismatched = jsonio.encode_state_space(example_state_space())
+    mismatched["D"] = jsonio.encode_real_matrix(np.eye(5, 4))
+    bad_pm = jsonio.encode_pm_params(example_pm_params())
+    bad_pm["M"]["data"][0][0] = None
+    bad_theta = jsonio.encode_real_matrix(j_matrix(4))
+    bad_theta["data"][0][0] = None
+    files = {name: write(tmp_path, f"{name}.json", payload) for name, payload in (
+        ("system", system), ("bad_system", bad_system), ("mismatched", mismatched),
+        ("bad_pm", bad_pm), ("bad_theta", bad_theta), ("unknown", {"foo": 1}))}
+    code, out, err = run(capsys, *[arg.format(**files) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {files[bad]}: {message}")
+    assert err.count(str(tmp_path)) == 1
 
 
 def test_zero_channel_system_is_a_usage_error(tmp_path, capsys):

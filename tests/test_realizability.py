@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -14,6 +15,8 @@ from oqho.errors import (
 )
 from oqho.forms import PmParams, build_pm_realization
 from oqho.realizability import (
+    REBUILD_TOLERANCE,
+    VERDICT_TOLERANCE,
     check_jj_unitary,
     check_pr_frequency,
     check_pr_time_domain,
@@ -42,7 +45,11 @@ from oqho.statespace import (
     spectrum_report,
 )
 from oqho.structured import j_matrix, skew_symmetry_residual
-from oqho.worked_example import example_pm_params, example_state_space
+from oqho.worked_example import (
+    example_pm_params,
+    example_state_space,
+    run_worked_example,
+)
 
 seeds = st.integers(0, 10**6)
 
@@ -337,7 +344,7 @@ def test_frequency_check_static_systems():
     assert good.verdict == "PR"
     bad = check_pr_frequency(StateSpace.static(np.diag([2.0, 0.5, 1.0, 1.0])))
     assert bad.verdict == "not-PR"
-    assert "not orthogonal" in bad.failure_reason
+    assert "d_orthogonality residual 3.092e+00" in bad.failure_reason
 
 
 def test_frequency_check_rejects_generic_system():
@@ -350,7 +357,7 @@ def test_frequency_check_rejects_generic_system():
     )
     report = check_pr_frequency(ss)
     assert report.verdict == "not-PR"
-    assert "(J,J)-unitarity" in report.failure_reason
+    assert "jj_unitarity residual" in report.failure_reason
 
 
 def test_frequency_check_inconclusive_on_placement_failure(monkeypatch):
@@ -845,6 +852,109 @@ def test_nan_residuals_fail_every_verdict_gate():
         frequency = check_pr_frequency(nan_d)
         time_domain = check_pr_time_domain(nan_b, j_matrix(4))
     assert frequency.verdict == "not-PR"
-    assert "feedthrough is not orthogonal (residual nan)" in frequency.failure_reason
+    assert "d_orthogonality residual nan" in frequency.failure_reason
     assert time_domain.verdict == "not-PR"
     assert "ccr_preservation residual nan" in time_domain.failure_reason
+
+
+def test_verdict_rule_words_the_failed_residuals():
+    rule = realizability._violations
+    assert rule({"a": 1e-9, "b": 0.0}, 1e-8) is None
+    assert rule({"b": 3.0, "a": 2.0, "c": 0.0}, 1.0) == (
+        "a residual 2.000e+00, b residual 3.000e+00; dominant: b")
+    assert rule({"a": np.nan}, 1.0) == "a residual nan; dominant: a"
+    assert rule({"a": 1.0}, 1.0) is None
+    assert rule({}, 0.0) is None
+
+
+@pytest.fixture
+def rule_calls(monkeypatch):
+    """The residual keys and tolerance of every call of the verdict rule, with
+    the text it returned."""
+    calls = []
+    rule = realizability._violations
+
+    def spy(residuals, tol):
+        calls.append((sorted(residuals), tol, rule(residuals, tol)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(realizability, "_violations", spy)
+    return calls
+
+
+def test_frequency_refusal_is_worded_by_the_rule(rule_calls):
+    report = check_pr_frequency(StateSpace.static(np.diag([2.0, 0.5, 1.0, 1.0])))
+    keys, tol, text = rule_calls[-1]
+    assert (keys, tol) == (["d_orthogonality", "jj_unitarity"], VERDICT_TOLERANCE)
+    assert report.failure_reason == f"frequency-domain conditions violated: {text}"
+    assert "d_symplectic" in report.condition_residuals
+    assert "d_symplectic" not in report.failure_reason
+
+
+def test_time_domain_refusal_is_worded_by_the_rule(rule_calls):
+    params = example_pm_params()
+    ss = build_pm_realization(params)
+    report = check_pr_time_domain(StateSpace(ss.A, ss.B, -ss.C, ss.D), params.Theta,
+                                  tol=1e-9)
+    keys, tol, text = rule_calls[-1]
+    assert (keys, tol) == (sorted(report.condition_residuals), 1e-9)
+    assert report.failure_reason == f"time-domain conditions violated: {text}"
+
+
+def test_f_gate_refusal_is_worded_by_the_rule(rule_calls):
+    rng = np.random.default_rng(8)
+    junk = StateSpace(*(rng.standard_normal((2, 2)) for _ in range(3)), np.eye(2))
+    with pytest.raises(NotRealizableError) as info:
+        compute_f(junk)
+    keys, tol, text = rule_calls[-1]
+    assert keys == ["f_eq_input_coupling", "f_eq_output_coupling",
+                    "f_eq_state_similarity"]
+    assert tol == VERDICT_TOLERANCE
+    assert str(info.value) == (
+        f"no skew similarity solves the realizability equations ({text}); "
+        "the system is not realizable or not minimal")
+
+
+@pytest.mark.parametrize("factor, shown", [(1.01, "1.476e-02"), (np.nan, "nan")])
+def test_rebuild_deviation_is_worded_by_the_rule(monkeypatch, rule_calls, factor, shown):
+    build = realizability.build_pm_realization
+
+    def drifted(params):
+        ss = build(params)
+        return StateSpace(ss.A, ss.B, factor * ss.C, ss.D)
+
+    monkeypatch.setattr(realizability, "build_pm_realization", drifted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NotRealizableError) as info:
+            synthesize(example_state_space())
+    keys, tol, text = rule_calls[-1]
+    assert (keys, tol) == (["rebuild_max_relative_deviation"], REBUILD_TOLERANCE)
+    assert str(info.value) == (
+        f"internal verification failed: rebuilt transfer function deviates ({text})")
+    assert f"rebuild_max_relative_deviation residual {shown}" in text
+
+
+def test_nan_similarity_residual_fails_the_f_gate(monkeypatch):
+    residuals = realizability._f_equation_residuals
+
+    def nan_coupling(*args):
+        return dict(residuals(*args), f_eq_input_coupling=np.nan)
+
+    monkeypatch.setattr(realizability, "_f_equation_residuals", nan_coupling)
+    with pytest.raises(NotRealizableError, match="f_eq_input_coupling residual nan"):
+        compute_f(example_state_space())
+
+
+def test_tolerance_defaults_have_one_home():
+    for fn in (check_pr_frequency, check_pr_time_domain, synthesize,
+               run_worked_example):
+        assert inspect.signature(fn).parameters["tol"].default is VERDICT_TOLERANCE
+    for fn in (check_jj_unitary, compute_f):
+        assert "tol" not in inspect.signature(fn).parameters
+    solve_tol = inspect.signature(realizability._solve_f).parameters["tol"]
+    assert solve_tol.default is inspect.Parameter.empty
+    for command in ("check", "synthesize"):
+        args = cli._build_parser().parse_args([command, "--input", "x.json"])
+        assert args.tol is VERDICT_TOLERANCE
+    assert cli._build_parser().parse_args(["example"]).tol is VERDICT_TOLERANCE

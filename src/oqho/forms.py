@@ -50,7 +50,6 @@ from .structured import (
     skew_symmetry_residual,
     symmetry_residual,
     symplectic_residual,
-    t_matrix,
     unitarity_residual,
 )
 
@@ -62,10 +61,8 @@ __all__ = [
     "build_pm_realization",
     "build_ac_realization",
     "eval_ac_tf",
-    "eval_conjugate_ac_tf",
     "ac_to_pm",
     "pm_to_ac",
-    "pm_to_ac_realization_consistency",
 ]
 
 
@@ -298,10 +295,6 @@ def eval_ac_tf(css: ComplexStateSpace, s: complex) -> np.ndarray:
     return _evaluate_quadruple(css.F, css.G, css.L, css.K, [s], _eigensystem(css.F))[0]
 
 
-def eval_conjugate_ac_tf(css: ComplexStateSpace, s: complex) -> np.ndarray:
-    return eval_ac_tf(css, -np.conj(complex(s))).conj().T
-
-
 def ac_to_pm(params: AcParams) -> PmParams:
     """Entrywise conversion to position-momentum parameters.
 
@@ -343,22 +336,3 @@ def pm_to_ac(params: PmParams) -> AcParams:
     sigma = cholesky_like(p.Theta).Sigma
     e1, e2 = extract_bold_blocks(sigma)
     return AcParams(s, n1, n2, h1, h2, e1, e2)
-
-
-def pm_to_ac_realization_consistency(params: PmParams) -> float:
-    """Largest block residual between the two realizations under the T conjugation.
-
-    Builds the real quadruple from ``params`` and the complex quadruple from
-    the converted parameters, then checks A = (1/2) T F T*, B = (1/2) T G T*,
-    C = (1/2) T L T*, D = (1/2) T K T* with state/channel-sized T factors.
-    """
-    real = build_pm_realization(params)
-    css = build_ac_realization(pm_to_ac(params))
-    t_st, t_ch = t_matrix(real.state_dim), t_matrix(real.num_outputs)
-    pairs = [
-        (real.D, 0.5 * t_ch @ css.K @ t_ch.conj().T),
-        (real.A, 0.5 * t_st @ css.F @ t_st.conj().T),
-        (real.B, 0.5 * t_st @ css.G @ t_ch.conj().T),
-        (real.C, 0.5 * t_ch @ css.L @ t_st.conj().T),
-    ]
-    return max(float(np.linalg.norm(x - y)) for x, y in pairs)

@@ -29,7 +29,11 @@ solves A^T F + F A = C^T J C, computed in the eigen-coordinates of A, O(n^3)
 l_i + l_j = 0, such as the reference model's, are pinned by the coupling
 equation F B D^{-1} = C^T J; a defective eigenbasis is solved once more on
 the same equation under state feedback.  Every candidate must pass the
-residual gate of the three similarity equations.
+residual gate of the three similarity equations.  The synthesized realization
+is verified by mapping it back through its change of coordinates Sigma onto
+the input realization: a state-space similarity has the same transfer
+function at every s (Zhou, Doyle and Glover, Robust and Optimal Control,
+1996, ch. 3), so no second set of sample points is drawn.
 """
 
 from dataclasses import dataclass, field, replace
@@ -51,7 +55,6 @@ from .statespace import (
     inverse_realization,
     is_minimal,
     minimal_realization,
-    spectrum_report,
 )
 from .structured import (
     _min_singular_ratio,
@@ -73,7 +76,6 @@ __all__ = [
     "check_pr_time_domain",
     "compute_f",
     "synthesize",
-    "pr_zero_pole_mirror",
 ]
 
 # sampling magnitudes are log-uniform over this range of |s|
@@ -136,11 +138,13 @@ class SynthesisResult:
 
 def _violations(residuals: dict, tol: float) -> str | None:
     """The verdict rule: the residuals above ``tol``, worded, or None when
-    every one is within it; a NaN residual is never within it."""
+    every one is within it; a NaN residual is never within it, and it is the
+    dominant failure."""
     failures = {k: v for k, v in residuals.items() if not v <= tol}
     if not failures:
         return None
-    worst = max(failures, key=failures.get)
+    # a NaN failure dominates: max would compare only the finite values
+    worst = max(failures, key=lambda k: (np.isnan(failures[k]), failures[k]))
     return (", ".join(f"{k} residual {v:.3e}" for k, v in sorted(failures.items()))
             + f"; dominant: {worst}")
 
@@ -259,7 +263,7 @@ def check_pr_frequency(ss: StateSpace, tol: float = VERDICT_TOLERANCE,
 def _check_pr_frequency(ss: StateSpace, tol: float, num_samples: int,
                         seed: int) -> tuple:
     """(check_pr_frequency report, ``_eigensystem`` of ``ss.A``): synthesize
-    reuses the eigensystem for its F solve and its rebuild check."""
+    reuses the eigensystem for the first pass of its F solve."""
     ss.require_square_channels()
     spectrum = _eigensystem(ss.A)
     conditions = {"d_orthogonality": orthogonality_residual(ss.D),
@@ -449,9 +453,12 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
     the failing report.  ``theta_target`` selects the commutation matrix of
     the synthesized parameters (default: the canonical J of matching size).
 
-    The rebuilt realization is verified internally: its transfer function must
-    match the input within REBUILD_TOLERANCE at fresh sample points and the
-    time-domain check must pass on it.
+    The rebuilt realization is verified internally.  It is a similarity of
+    the (minimal) input under ``Sigma``, so mapped back through ``Sigma`` its
+    A, B and C must each match the input's within REBUILD_TOLERANCE, relative
+    to the input's Frobenius norm; that bounds the transfer deviation at
+    every s, to first order.  The time-domain check against ``theta_target``
+    must pass on it as well.
     """
     original_dim = ss.state_dim
     work = ss
@@ -495,23 +502,22 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
         np.linalg.norm(sigma @ theta_target @ sigma.T - f_inv)
         / max(np.linalg.norm(f_inv), np.finfo(float).tiny)
     )
-    sigma_inv_t = np.linalg.inv(sigma).T
+    sigma_inv = np.linalg.inv(sigma)
     theta_inv = np.linalg.inv(theta_target)
-    m_mat = -0.5 * work.B.T @ sigma_inv_t @ theta_inv
+    m_mat = -0.5 * work.B.T @ sigma_inv.T @ theta_inv
     r_mat = sigma.T @ rhat @ sigma
     params = PmParams(work.D.copy(), m_mat, r_mat, theta_target)
 
+    # the rebuilt system is (sigma^-1 A sigma, sigma^-1 B, C sigma, D) of ``work``
     rebuilt = build_pm_realization(params)
-    # the rebuilt system has an eigensystem of its own: the check stays independent
-    spectrum_rebuilt = _eigensystem(rebuilt.A)
-    avoid = np.concatenate([spectrum_work[0], spectrum_rebuilt[0]])
-    avoid = np.concatenate([avoid, -avoid.conj()])
-    pts = draw_sample_points(avoid, num_samples, seed)
-    ref = _evaluate_quadruple(work.A, work.B, work.C, work.D, pts, spectrum_work)
-    got = _evaluate_quadruple(rebuilt.A, rebuilt.B, rebuilt.C, rebuilt.D, pts,
-                              spectrum_rebuilt)
-    devs = _frobenius_norms(got - ref) / np.fmax(1.0, _frobenius_norms(ref))
-    max_dev = float(np.max(devs, initial=0.0))
+
+    def rel(x, ref):
+        return float(np.linalg.norm(x - ref) / max(1.0, np.linalg.norm(ref)))
+
+    # np.max, unlike max, keeps a NaN residual
+    max_dev = float(np.max([rel(sigma @ rebuilt.A @ sigma_inv, work.A),
+                            rel(sigma @ rebuilt.B, work.B),
+                            rel(rebuilt.C @ sigma_inv, work.C)]))
     residuals = dict(diagnostics)
     residuals["rhat_symmetry"] = rhat_sym
     residuals["ccr_factorization"] = fact_resid
@@ -538,8 +544,3 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
         equation_residuals=residuals,
         reduced_from=reduced_from,
     )
-
-
-def pr_zero_pole_mirror(ss: StateSpace) -> bool:
-    """Mirror test: transmission zeros match poles reflected through iR."""
-    return spectrum_report(ss).mirror_symmetric

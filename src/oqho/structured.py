@@ -30,13 +30,7 @@ __all__ = [
     "hermitian_residual",
     "doubled_up_residual",
     "is_orthogonal",
-    "is_unitary",
     "is_symplectic",
-    "is_orthosymplectic",
-    "is_skew_symmetric",
-    "is_symmetric",
-    "is_hermitian",
-    "is_doubled_up",
 ]
 
 
@@ -229,29 +223,5 @@ def is_orthogonal(mat) -> bool:
     return orthogonality_residual(mat) <= _structure_bound(mat)
 
 
-def is_unitary(mat) -> bool:
-    return unitarity_residual(mat) <= _structure_bound(mat)
-
-
 def is_symplectic(mat) -> bool:
     return symplectic_residual(mat) <= _structure_bound(mat)
-
-
-def is_orthosymplectic(mat) -> bool:
-    return is_orthogonal(mat) and is_symplectic(mat)
-
-
-def is_skew_symmetric(mat) -> bool:
-    return skew_symmetry_residual(mat) <= _structure_bound(mat)
-
-
-def is_symmetric(mat) -> bool:
-    return symmetry_residual(mat) <= _structure_bound(mat)
-
-
-def is_hermitian(mat) -> bool:
-    return hermitian_residual(mat) <= _structure_bound(mat)
-
-
-def is_doubled_up(mat) -> bool:
-    return doubled_up_residual(mat) <= _structure_bound(mat)

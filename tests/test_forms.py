@@ -10,14 +10,12 @@ from oqho.forms import (
     build_ac_realization,
     build_pm_realization,
     eval_ac_tf,
-    eval_conjugate_ac_tf,
     ito_matrix,
     pm_to_ac,
-    pm_to_ac_realization_consistency,
 )
 from oqho.sampling import random_ac_params, random_pm_params
 from oqho.statespace import eval_tf
-from oqho.structured import is_doubled_up, j_matrix, t_matrix
+from oqho.structured import _structure_bound, doubled_up_residual, j_matrix, t_matrix
 from oqho.worked_example import (
     example_ac_params,
     example_pm_params,
@@ -155,12 +153,29 @@ def test_static_pm_realization():
 def test_build_ac_realization_blocks_are_doubled_up():
     css = build_ac_realization(example_ac_params())
     for mat in (css.F, css.G, css.L, css.K):
-        assert is_doubled_up(mat)
+        assert doubled_up_residual(mat) <= _structure_bound(mat)
     assert max(css.structure_residuals().values()) < 1e-12
 
 
+def t_conjugation_residual(params):
+    """Largest block residual between the real realization of ``params`` and
+    the complex realization of ``pm_to_ac(params)`` under the T conjugation:
+    A = (1/2) T F T*, B = (1/2) T G T*, C = (1/2) T L T*, D = (1/2) T K T*,
+    with state- and channel-sized T factors."""
+    real = build_pm_realization(params)
+    css = build_ac_realization(pm_to_ac(params))
+    t_st, t_ch = t_matrix(real.state_dim), t_matrix(real.num_outputs)
+    pairs = [
+        (real.D, 0.5 * t_ch @ css.K @ t_ch.conj().T),
+        (real.A, 0.5 * t_st @ css.F @ t_st.conj().T),
+        (real.B, 0.5 * t_st @ css.G @ t_ch.conj().T),
+        (real.C, 0.5 * t_ch @ css.L @ t_st.conj().T),
+    ]
+    return max(float(np.linalg.norm(x - y)) for x, y in pairs)
+
+
 def test_ac_realization_is_t_conjugate_of_real_one():
-    assert pm_to_ac_realization_consistency(example_pm_params()) < 1e-12
+    assert t_conjugation_residual(example_pm_params()) < 1e-12
 
 
 @settings(deadline=None, max_examples=25)
@@ -169,7 +184,7 @@ def test_realization_consistency_property(seed, dims):
     n, m = dims
     p = random_pm_params(n, m, np.random.default_rng(seed))
     scale = max(1.0, np.linalg.norm(p.M) ** 2, np.linalg.norm(p.R))
-    assert pm_to_ac_realization_consistency(p) < 1e-9 * scale
+    assert t_conjugation_residual(p) < 1e-9 * scale
 
 
 def test_eval_ac_tf_matches_conjugated_transfer_matrix():
@@ -184,8 +199,6 @@ def test_eval_ac_tf_matches_conjugated_transfer_matrix():
             continue
         ref = 0.5 * t4.conj().T @ np.diag([e(s) for e in entries]) @ t4
         assert np.linalg.norm(eval_ac_tf(css, s) - ref) < 1e-11
-        adj = eval_ac_tf(css, -np.conj(s)).conj().T
-        assert np.linalg.norm(eval_conjugate_ac_tf(css, s) - adj) == 0.0
 
 
 def test_pm_to_ac_reproduces_known_complex_parameters():
@@ -284,7 +297,7 @@ def test_zero_mode_ac_theta_is_empty():
 
 
 def test_zero_mode_realization_consistency_is_exact():
-    assert pm_to_ac_realization_consistency(static_pm()) == 0.0
+    assert t_conjugation_residual(static_pm()) == 0.0
 
 
 def test_parameters_need_a_channel():

@@ -22,7 +22,6 @@ from oqho.realizability import (
     check_pr_time_domain,
     compute_f,
     draw_sample_points,
-    pr_zero_pole_mirror,
     synthesize,
 )
 from oqho.sampling import (
@@ -266,16 +265,18 @@ def test_jj_residual_matches_loop_reference_exactly(modes, channels):
 
 @pytest.mark.parametrize("modes", [1, 3, 8, 16])
 def test_rebuild_deviation_matches_loop_reference_exactly(modes):
+    """The rebuild deviation is the largest relative residual of the rebuilt
+    A, B and C mapped back through Sigma onto the input's, one at a time."""
     rng = np.random.default_rng(700 + modes)
     ss = build_pm_realization(random_pm_params(modes, 1 + modes % 3, rng))
     seed = int(rng.integers(2**31))
     result = synthesize(ss, seed=seed)
+    assert result.reduced_from is None
     rebuilt = build_pm_realization(result.params)
-    lam = np.concatenate([poles(ss), poles(rebuilt)])
-    pts = loop_draw_sample_points(np.concatenate([lam, -lam.conj()]), 20, seed)
+    sigma, sigma_inv = result.Sigma, np.linalg.inv(result.Sigma)
     want = 0.0
-    for s in pts:
-        ref, got = eval_tf(ss, s), eval_tf(rebuilt, s)
+    for got, ref in ((sigma @ rebuilt.A @ sigma_inv, ss.A), (sigma @ rebuilt.B, ss.B),
+                     (rebuilt.C @ sigma_inv, ss.C)):
         want = max(want, float(np.linalg.norm(got - ref) / max(1.0, np.linalg.norm(ref))))
     assert result.equation_residuals["rebuild_max_relative_deviation"] == want
 
@@ -309,14 +310,14 @@ def test_eigendecompositions_per_call(count_eigendecompositions):
     assert count_eigendecompositions(lambda: check_pr_frequency(big)) == 1
     # poles and the poles of the inverse realization (the zeros)
     assert count_eigendecompositions(lambda: spectrum_report(big)) == 2
-    # one eigensystem serves the frequency check, the F solve and the rebuild's
-    # reference values; the rebuilt system has its own
-    assert count_eigendecompositions(lambda: synthesize(small)) == 2
+    # one eigensystem serves the frequency check and the F solve; the rebuild
+    # is verified through Sigma, without one of its own
+    assert count_eigendecompositions(lambda: synthesize(small)) == 1
     # degenerate pole pairs are pinned inside the one F solve
-    assert count_eigendecompositions(lambda: synthesize(example_state_space())) == 2
+    assert count_eigendecompositions(lambda: synthesize(example_state_space())) == 1
     # a defective eigenbasis costs the one feedback-shifted F solve more
     defective = defective_system([0.5] * 3, np.random.default_rng(1))
-    assert count_eigendecompositions(lambda: synthesize(defective)) == 3
+    assert count_eigendecompositions(lambda: synthesize(defective)) == 2
     static = StateSpace.static(j_matrix(2))
     for call in (check_pr_frequency, spectrum_report, synthesize):
         assert count_eigendecompositions(lambda: call(static)) == 0
@@ -823,11 +824,11 @@ def test_synthesize_near_degenerate_pairs(exponent, refuse_large_kron):
 
 
 def test_zero_pole_mirror_on_reference_model():
-    assert pr_zero_pole_mirror(example_state_space())
+    assert spectrum_report(example_state_space()).mirror_symmetric
     skewed = StateSpace(
         np.diag([-1.0, -2.0]), np.eye(2), np.eye(2), np.diag([2.0, 1.0])
     )
-    assert not pr_zero_pole_mirror(skewed)
+    assert not spectrum_report(skewed).mirror_symmetric
 
 
 def test_overflowing_evaluation_is_not_pr():
@@ -863,6 +864,9 @@ def test_verdict_rule_words_the_failed_residuals():
     assert rule({"b": 3.0, "a": 2.0, "c": 0.0}, 1.0) == (
         "a residual 2.000e+00, b residual 3.000e+00; dominant: b")
     assert rule({"a": np.nan}, 1.0) == "a residual nan; dominant: a"
+    # a NaN failure dominates the finite ones, wherever it stands
+    assert rule({"a": 1.0, "b": np.nan, "c": 2.0}, 0.5) == (
+        "a residual 1.000e+00, b residual nan, c residual 2.000e+00; dominant: b")
     assert rule({"a": 1.0}, 1.0) is None
     assert rule({}, 0.0) is None
 
@@ -915,15 +919,13 @@ def test_f_gate_refusal_is_worded_by_the_rule(rule_calls):
         "the system is not realizable or not minimal")
 
 
-@pytest.mark.parametrize("factor, shown", [(1.01, "1.476e-02"), (np.nan, "nan")])
-def test_rebuild_deviation_is_worded_by_the_rule(monkeypatch, rule_calls, factor, shown):
+def refused_rebuild_text(monkeypatch, rule_calls, drift):
+    """The rebuild gate's wording when synthesizing the reference model from
+    a rebuilt realization passed through ``drift``; asserts that the gate,
+    and not a later check, refused it."""
     build = realizability.build_pm_realization
-
-    def drifted(params):
-        ss = build(params)
-        return StateSpace(ss.A, ss.B, factor * ss.C, ss.D)
-
-    monkeypatch.setattr(realizability, "build_pm_realization", drifted)
+    monkeypatch.setattr(realizability, "build_pm_realization",
+                        lambda params: drift(build(params)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(NotRealizableError) as info:
@@ -932,7 +934,22 @@ def test_rebuild_deviation_is_worded_by_the_rule(monkeypatch, rule_calls, factor
     assert (keys, tol) == (["rebuild_max_relative_deviation"], REBUILD_TOLERANCE)
     assert str(info.value) == (
         f"internal verification failed: rebuilt transfer function deviates ({text})")
+    return text
+
+
+@pytest.mark.parametrize("factor, shown", [(1.01, "1.000e-02"), (np.nan, "nan")])
+def test_rebuild_deviation_is_worded_by_the_rule(monkeypatch, rule_calls, factor, shown):
+    text = refused_rebuild_text(
+        monkeypatch, rule_calls, lambda ss: StateSpace(ss.A, ss.B, factor * ss.C, ss.D))
     assert f"rebuild_max_relative_deviation residual {shown}" in text
+
+
+def test_rebuild_gate_refuses_a_drifted_state_matrix(monkeypatch, rule_calls):
+    """A rebuilt A moved by 1e-6 relative fails the similarity residual."""
+    text = refused_rebuild_text(
+        monkeypatch, rule_calls, lambda ss: StateSpace((1 + 1e-6) * ss.A, ss.B, ss.C, ss.D))
+    assert text == ("rebuild_max_relative_deviation residual 1.000e-06; "
+                    "dominant: rebuild_max_relative_deviation")
 
 
 def test_nan_similarity_residual_fails_the_f_gate(monkeypatch):

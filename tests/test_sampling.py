@@ -13,11 +13,12 @@ from oqho.sampling import (
     random_unitary,
 )
 from oqho.structured import (
+    _structure_bound,
     is_orthogonal,
-    is_orthosymplectic,
-    is_skew_symmetric,
-    is_unitary,
+    is_symplectic,
+    skew_symmetry_residual,
     symplectic_residual,
+    unitarity_residual,
 )
 
 seeds = st.integers(0, 10**6)
@@ -41,13 +42,15 @@ def test_random_orthogonal(seed, dim):
 @settings(deadline=None, max_examples=20)
 @given(seeds, st.integers(1, 8))
 def test_random_unitary(seed, dim):
-    assert is_unitary(random_unitary(dim, seed))
+    u = random_unitary(dim, seed)
+    assert unitarity_residual(u) <= _structure_bound(u)
 
 
 @settings(deadline=None, max_examples=20)
 @given(seeds, st.integers(1, 5))
 def test_random_orthosymplectic(seed, half_dim):
-    assert is_orthosymplectic(random_orthosymplectic(2 * half_dim, seed))
+    q = random_orthosymplectic(2 * half_dim, seed)
+    assert is_orthogonal(q) and is_symplectic(q)
 
 
 def test_random_orthosymplectic_rejects_odd():
@@ -59,7 +62,7 @@ def test_random_orthosymplectic_rejects_odd():
 @given(seeds, st.integers(1, 8))
 def test_random_skew_nonsingular(seed, half_dim):
     theta = random_skew_nonsingular(2 * half_dim, seed)
-    assert is_skew_symmetric(theta)
+    assert skew_symmetry_residual(theta) <= _structure_bound(theta)
     sv = np.linalg.svd(theta, compute_uv=False)
     assert sv[-1] > 0.4  # pair strengths stay inside the requested range
     assert sv[0] < 2.1

@@ -303,11 +303,7 @@ def _reachable_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def is_minimal(ss: StateSpace) -> bool:
     """Controllable and observable: both staircase bases span the state (true when static)."""
-    n = ss.state_dim
-    return (
-        _reachable_basis(ss.A, ss.B).shape[1] == n
-        and _reachable_basis(ss.A.T, ss.C.T).shape[1] == n
-    )
+    return minimal_realization(ss) is ss
 
 
 def minimal_realization(ss: StateSpace) -> StateSpace:
@@ -315,11 +311,14 @@ def minimal_realization(ss: StateSpace) -> StateSpace:
 
     Both projections use orthonormal staircase bases, so the transfer function
     is preserved while unreachable and unobservable directions are discarded.
+    A minimal input, whose two bases span the state, is returned itself.
     """
     a, b, c = ss.A, ss.B, ss.C
     v = _reachable_basis(a, b)
     a, b, c = v.T @ a @ v, v.T @ b, c @ v
     w = _reachable_basis(a.T, c.T)
+    if w.shape[1] == ss.state_dim:
+        return ss
     a, b, c = w.T @ a @ w, w.T @ b, c @ w
     return StateSpace(a, b, c, ss.D.copy())
 

@@ -29,8 +29,6 @@ __all__ = [
     "symmetry_residual",
     "hermitian_residual",
     "doubled_up_residual",
-    "is_orthogonal",
-    "is_symplectic",
 ]
 
 
@@ -217,11 +215,3 @@ def doubled_up_residual(mat) -> float:
         )
     j, k = mat.shape[0] // 2, mat.shape[1] // 2
     return float(_fro(mat - doubled_up(mat[:j, :k], mat[:j, k:])))
-
-
-def is_orthogonal(mat) -> bool:
-    return orthogonality_residual(mat) <= _structure_bound(mat)
-
-
-def is_symplectic(mat) -> bool:
-    return symplectic_residual(mat) <= _structure_bound(mat)

@@ -14,6 +14,7 @@ from oqho import cli, jsonio, realizability
 from oqho.cli import main
 from oqho.errors import StructureError
 from oqho.forms import PmParams, build_pm_realization, pm_to_ac
+from oqho.sampling import random_pm_params
 from oqho.skewfactor import cholesky_like
 from oqho.statespace import StateSpace
 from oqho.structured import j_matrix
@@ -299,6 +300,18 @@ def test_synthesize_with_theta_file(system_file, tmp_path, capsys):
     theta_path = write(tmp_path, "theta.json", jsonio.encode_real_matrix(theta))
     code, out, _ = run(capsys, "synthesize", "--input", system_file, "--theta", theta_path)
     assert code == 0
+    assert np.array_equal(jsonio.decode_real_matrix(json.loads(out)["params"]["Theta"]), theta)
+
+
+def test_synthesize_onto_a_scaled_theta_file(tmp_path, capsys):
+    """A 16-state synthesis onto Theta = 1e8 J succeeds: the rebuilt system is
+    verified by its similarity alone, not by absolute time-domain residuals."""
+    ss = build_pm_realization(random_pm_params(8, 1, np.random.default_rng(1)))
+    path = write(tmp_path, "sys.json", jsonio.encode_state_space(ss))
+    theta = 1e8 * j_matrix(16)
+    theta_path = write(tmp_path, "theta.json", jsonio.encode_real_matrix(theta))
+    code, out, err = run(capsys, "synthesize", "--input", path, "--theta", theta_path)
+    assert (code, err) == (0, "")
     assert np.array_equal(jsonio.decode_real_matrix(json.loads(out)["params"]["Theta"]), theta)
 
 

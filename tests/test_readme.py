@@ -1,12 +1,14 @@
-"""The README's tables agree with the code: the "Numerical cutoffs" table
-names constants that exist with the stated values, and the "File formats"
-table lists the fields that ``jsonio`` recognizes each payload kind by."""
+"""The README agrees with the code: the quick-start block runs and prints
+what its comments say, the "Numerical cutoffs" table names constants that
+exist with the stated values, and the "File formats" table lists the fields
+that ``jsonio`` recognizes each payload kind by."""
 
 import importlib
 import re
 from pathlib import Path
 
 from oqho import jsonio
+from oqho.realizability import REBUILD_TOLERANCE
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -51,3 +53,12 @@ def test_file_formats_table_matches_the_fingerprints():
         (kind,) = re.findall(r"`(\w+)`", cells[0])
         table[kind] = set(re.findall(r"`(\w+)`", cells[1]))
     assert table == jsonio._FINGERPRINTS
+
+
+def test_quick_start_block_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("## Quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README quick start", "exec"), {})
+    verdict, _, deviation = capsys.readouterr().out.splitlines()
+    assert verdict == "PR"
+    assert float(deviation) < REBUILD_TOLERANCE

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oqho import cli, jsonio, realizability
+from oqho import cli, jsonio, realizability, statespace
 from oqho.errors import (
     DimensionError,
     NotRealizableError,
@@ -321,6 +321,85 @@ def test_eigendecompositions_per_call(count_eigendecompositions):
     static = StateSpace.static(j_matrix(2))
     for call in (check_pr_frequency, spectrum_report, synthesize):
         assert count_eigendecompositions(lambda: call(static)) == 0
+
+
+def test_factorizations_per_synthesis(monkeypatch):
+    """The n x n factorizations of one 5-mode synthesis.  inv: V, F, Sigma and
+    the builder's Theta; svd: the singular rule on F and on Theta (validate);
+    eig: A; eigh: F^{-1} and Theta in relate_ccr.  Theta is decomposed only by
+    the steps that use it, and the rebuilt system is not re-checked."""
+    ss = build_pm_realization(random_pm_params(5, 1, np.random.default_rng(3)))
+    calls = dict.fromkeys(("inv", "svd", "eig", "eigh"), 0)
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(x, *args, _original=original, _name=name, **kwargs):
+            calls[_name] += np.shape(x) == (10, 10)
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    synthesize(ss)
+    assert calls == {"inv": 4, "svd": 2, "eig": 1, "eigh": 2}
+
+
+def test_synthesize_checks_no_time_domain_conditions(monkeypatch):
+    called = []
+    monkeypatch.setattr(realizability, "check_pr_time_domain",
+                        lambda *args, **kwargs: called.append(None))
+    synthesize(example_state_space(), theta_target=2.0 * j_matrix(4))
+    assert called == []
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_time_domain_conditions_are_identities_of_the_builder(scale):
+    """CCR preservation, output coupling and the Hamiltonian reconstruction
+    hold identically for every realization built from valid parameters, so
+    their residuals are rounding alone, at every size and Theta scale."""
+    for modes in range(1, 33):
+        for channels in (1, 2, 3):
+            rng = np.random.default_rng(100 * modes + channels)
+            base = random_pm_params(modes, channels, rng)
+            params = PmParams(base.D, base.M, base.R, scale * base.Theta)
+            ss = build_pm_realization(params)
+            res = check_pr_time_domain(ss, params.Theta, tol=np.inf).condition_residuals
+            norm_a, norm_b = np.linalg.norm(ss.A), np.linalg.norm(ss.B)
+            norm_theta = np.linalg.norm(params.Theta)
+            assert res["ccr_preservation"] <= 1e-13 * (norm_a * norm_theta + norm_b ** 2)
+            assert res["output_coupling"] <= 1e-13 * np.linalg.norm(ss.C)
+            assert res["hamiltonian_reconstruction"] <= 1e-13 * norm_a
+
+
+@pytest.mark.parametrize("modes, scale", [(2, 1e10), (8, 1e8), (32, 1e8)])
+def test_synthesize_onto_a_scaled_theta(modes, scale):
+    """A large target Theta scales the time-domain residuals of the rebuilt
+    system by its norm; the synthesis itself stays exact."""
+    ss = build_pm_realization(random_pm_params(modes, 1, np.random.default_rng(1)))
+    theta = scale * j_matrix(2 * modes)
+    result = synthesize(ss, theta_target=theta)
+    assert np.array_equal(result.params.Theta, theta)
+    assert result.equation_residuals["rebuild_max_relative_deviation"] <= 1e-12
+
+
+def test_padded_input_is_reduced_by_one_staircase_pair(monkeypatch):
+    """synthesize reduces through minimal_realization alone: the two staircases
+    of the reduction, with no separate minimality test before them."""
+    core = example_state_space()
+    padded = StateSpace(
+        np.block([[core.A, np.zeros((4, 2))], [np.zeros((2, 4)), -np.eye(2)]]),
+        np.vstack([core.B, np.zeros((2, 4))]),
+        np.hstack([core.C, np.zeros((4, 2))]),
+        core.D,
+    )
+    calls = []
+    basis = statespace._reachable_basis
+
+    def counted(*args):
+        calls.append(None)
+        return basis(*args)
+
+    monkeypatch.setattr(statespace, "_reachable_basis", counted)
+    assert synthesize(padded).reduced_from == 6
+    assert len(calls) == 2
 
 
 def test_check_jj_unitary_on_reference_model():

@@ -227,6 +227,11 @@ def test_example_is_minimal():
     assert is_minimal(example_state_space())
 
 
+def test_minimal_realization_returns_a_minimal_input_itself():
+    ss = example_state_space()
+    assert minimal_realization(ss) is ss
+
+
 def test_staircase_refuses_infinite_entries():
     """An inf in A, B or C is refused before the staircase SVD, which may never
     return on it; the calls run in a child process so that a hang fails."""

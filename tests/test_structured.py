@@ -19,8 +19,6 @@ from oqho.structured import (
     doubled_up_residual,
     extract_bold_blocks,
     hermitian_residual,
-    is_orthogonal,
-    is_symplectic,
     j_matrix,
     nabla,
     orthogonality_residual,
@@ -136,23 +134,23 @@ def accepted(residual, mat) -> bool:
 
 def test_identity_is_orthogonal_symplectic_and_not_skew():
     eye = np.eye(4)
-    assert is_orthogonal(eye)
-    assert is_symplectic(eye)
+    assert accepted(orthogonality_residual, eye)
+    assert accepted(symplectic_residual, eye)
     assert not accepted(skew_symmetry_residual, eye)
     assert accepted(symmetry_residual, eye)
 
 
 def test_j_is_orthogonal_and_symplectic_and_skew():
     j = j_matrix(4)
-    assert is_orthogonal(j)
-    assert is_symplectic(j)
+    assert accepted(orthogonality_residual, j)
+    assert accepted(symplectic_residual, j)
     assert accepted(skew_symmetry_residual, j)
 
 
 def test_diagonal_scaling_fails_both_groups():
     mat = np.diag([2.0, 1.0, 1.0, 1.0])
-    assert not is_orthogonal(mat)
-    assert not is_symplectic(mat)
+    assert not accepted(orthogonality_residual, mat)
+    assert not accepted(symplectic_residual, mat)
     assert orthogonality_residual(mat) > 1.0
     assert symplectic_residual(mat) > 0.5
 
@@ -283,10 +281,11 @@ def test_one_structure_rule_at_every_site(site):
 
 # each structure decision, by the name of the property it decides
 PREDICATES = {
-    "is_orthogonal": is_orthogonal,
+    "is_orthogonal": lambda mat: accepted(orthogonality_residual, mat),
     "is_unitary": lambda mat: accepted(unitarity_residual, mat),
-    "is_symplectic": is_symplectic,
-    "is_orthosymplectic": lambda mat: is_orthogonal(mat) and is_symplectic(mat),
+    "is_symplectic": lambda mat: accepted(symplectic_residual, mat),
+    "is_orthosymplectic": lambda mat: (accepted(orthogonality_residual, mat)
+                                       and accepted(symplectic_residual, mat)),
     "is_skew_symmetric": lambda mat: accepted(skew_symmetry_residual, mat),
     "is_symmetric": lambda mat: accepted(symmetry_residual, mat),
     "is_hermitian": lambda mat: accepted(hermitian_residual, mat),
@@ -361,8 +360,8 @@ def test_complex_input_counts_its_imaginary_part():
         warnings.simplefilter("error")
         assert orthogonality_residual(mat) > 1.0
         assert symplectic_residual(mat) > 1.0
-        assert not is_orthogonal(mat)
-        assert not is_symplectic(mat)
+        assert not accepted(orthogonality_residual, mat)
+        assert not accepted(symplectic_residual, mat)
 
 
 def test_real_residuals_are_the_float_formulas():

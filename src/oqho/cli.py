@@ -159,12 +159,9 @@ def _cmd_synthesize(args) -> int:
         result = synthesize(ss, theta_target=theta, tol=args.tol,
                             num_samples=args.samples, seed=args.seed)
     except NotRealizableError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        if exc.report is not None:
+        if exc.report is not None:  # the report of the check that refused
             _emit(jsonio.dumps(jsonio.encode_pr_report(exc.report)), args.output)
-            if exc.report.verdict == "inconclusive":
-                return EXIT_INCONCLUSIVE
-        return EXIT_NOT_PR
+        raise
     _emit(jsonio.dumps(jsonio.encode_synthesis_result(result)), args.output)
     if result.reduced_from is not None:
         sys.stderr.write(
@@ -232,6 +229,9 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_INCONCLUSIVE
+    except NotRealizableError as exc:  # synthesize or example refused
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_NOT_PR if exc.report is None else _VERDICT_EXIT[exc.report.verdict]
     except (SchemaError, DimensionError, StructureError, SingularMatrixError,
             ValueError, OSError) as exc:
         return _fail(str(exc))

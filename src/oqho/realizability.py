@@ -12,13 +12,14 @@ points away from the poles.  One eigendecomposition A = V L V^{-1} places the
 points, guards them, and gives G and G~ at every one of them in modal form
 (see ``statespace.evaluate``); synthesis hands the same eigensystem to the
 first pass of its F solve.  The time-domain check verifies the equivalent
-parameter-level identities against a given commutation matrix Theta:
+parameter-level identities against a given commutation matrix Theta (James,
+Nurdin and Petersen, IEEE TAC 53(8), 2008), each residual relative:
 
     (i)   D orthosymplectic,
     (ii)  A Theta + Theta A^T + B J B^T = 0,
     (iii) C = -D J B^T Theta^{-1},
     (iv)  A is reproduced by the energy matrix recovered from its
-          Theta-symmetrized part (redundant given (ii), kept as a diagnostic).
+          Theta-symmetrized part: (ii) in units of A, whatever the scale of Theta.
 
 Synthesis recovers oscillator parameters from a minimal realizable system: a
 unique skew similarity F links the inverse realization to the adjoint of the
@@ -29,7 +30,7 @@ solves A^T F + F A = C^T J C, computed in the eigen-coordinates of A, O(n^3)
 l_i + l_j = 0, such as the reference model's, are pinned by the coupling
 equation F B D^{-1} = C^T J; a defective eigenbasis is solved once more on
 the same equation under state feedback.  Every candidate must pass the
-residual gate of the three similarity equations.  The synthesized realization
+time-domain conditions at Theta = F^{-1}.  The synthesized realization
 is verified by mapping it back through its change of coordinates Sigma onto
 the input realization: a state-space similarity has the same transfer
 function at every s (Zhou, Doyle and Glover, Robust and Optimal Control,
@@ -241,10 +242,11 @@ def _sample_jj_defect(ss: StateSpace, spectrum: tuple, num_samples: int,
     lam = spectrum[0]
     avoid = np.concatenate([lam, -lam.conj()])
     pts = draw_sample_points(avoid, num_samples, seed)
-    # SAMPLE_EXCLUSION > RESOLVENT_GUARD * (1 + |s|): no point trips the G or G~ guard
-    g = _evaluate_quadruple(ss.A, ss.B, ss.C, ss.D, pts, spectrum)
-    g_conj = _evaluate_quadruple(ss.A, ss.B, ss.C, ss.D, -np.conj(pts), spectrum)
-    g_conj = g_conj.conj().transpose(0, 2, 1)
+    # SAMPLE_EXCLUSION > RESOLVENT_GUARD * (1 + |s|): no point trips the G or G~ guard;
+    # G at the points, then G at -conj(points), conjugate-transposed into G~
+    both = _evaluate_quadruple(ss.A, ss.B, ss.C, ss.D,
+                               np.concatenate([pts, -np.conj(pts)]), spectrum)
+    g, g_conj = both[:len(pts)], both[len(pts):].conj().transpose(0, 2, 1)
     defects = np.concatenate(
         [_frobenius_norms(g_conj @ j @ g - j), _frobenius_norms(g @ j @ g_conj - j)]
     )
@@ -268,6 +270,9 @@ def _check_pr_frequency(ss: StateSpace, tol: float, num_samples: int,
     conditions = {"d_orthogonality": orthogonality_residual(ss.D),
                   "d_symplectic": symplectic_residual(ss.D)}
     try:
+        if num_samples < 1:  # with no point, every system would pass
+            raise SamplePlacementError(
+                f"no sample points to decide on: {num_samples} requested")
         jj = _sample_jj_defect(ss, spectrum, num_samples, seed)
     except SamplePlacementError as exc:  # the D residuals, and no verdict
         report = replace(_report("frequency", conditions, (), tol),
@@ -292,27 +297,37 @@ def check_pr_time_domain(ss: StateSpace, theta,
     _require_structure("commutation matrix Theta",
                        {"theta_skew_symmetry": skew_symmetry_residual(theta)},
                        {"theta_skew_symmetry": theta})
-    j = j_matrix(channels)
-    conditions = {"d_orthogonality": orthogonality_residual(ss.D),
-                  "d_symplectic": symplectic_residual(ss.D)}
+    theta_inv = None
     if n2:  # a static report carries the D conditions only
         _require_nonsingular(_min_singular_ratio(theta), "commutation matrix Theta")
         theta_inv = np.linalg.inv(theta)
-        bjbt = ss.B @ j @ ss.B.T
-        ccr = float(np.linalg.norm(ss.A @ theta + theta @ ss.A.T + bjbt))
-        coupling = float(np.linalg.norm(ss.C + ss.D @ j @ ss.B.T @ theta_inv))
-        ta = theta_inv @ ss.A
-        r_rec = 0.25 * (ta + ta.T)
-        rebuilt_a = 2.0 * theta @ r_rec - 0.5 * bjbt @ theta_inv
-        hamiltonian = float(np.linalg.norm(ss.A - rebuilt_a))
-        conditions.update(
-            {
-                "ccr_preservation": ccr,
-                "output_coupling": coupling,
-                "hamiltonian_reconstruction": hamiltonian,
-            }
-        )
+    conditions = _time_domain_conditions(ss, j_matrix(channels), theta, theta_inv)
     return _report("time", conditions, conditions, tol)
+
+
+def _relative(x: np.ndarray, scale: float) -> float:
+    """|x|_F / max(1, scale): the one rule of every relative residual."""
+    return float(np.linalg.norm(x) / max(1.0, scale))
+
+
+def _time_domain_conditions(ss: StateSpace, j: np.ndarray, theta: np.ndarray,
+                            theta_inv: np.ndarray | None) -> dict:
+    """The relative residuals of conditions (i)-(iv) against ``theta``, whose
+    inverse is ``theta_inv``; (ii)-(iv) only when the system has states.  A
+    minus the A rebuilt from the R read off it is 1/2 (ii) Theta^{-1}, which
+    does not scale with Theta: it catches the drift a small Theta hides."""
+    conditions = {"d_orthogonality": orthogonality_residual(ss.D),
+                  "d_symplectic": symplectic_residual(ss.D)}
+    if ss.state_dim:
+        norm_a = np.linalg.norm(ss.A)
+        bjbt = ss.B @ j @ ss.B.T
+        ccr = ss.A @ theta + theta @ ss.A.T + bjbt
+        conditions["ccr_preservation"] = _relative(
+            ccr, 2.0 * norm_a * np.linalg.norm(theta) + np.linalg.norm(bjbt))
+        conditions["output_coupling"] = _relative(
+            ss.C + ss.D @ j @ ss.B.T @ theta_inv, np.linalg.norm(ss.C))
+        conditions["hamiltonian_reconstruction"] = _relative(0.5 * ccr @ theta_inv, norm_a)
+    return conditions
 
 
 def _lyapunov_f(spectrum: tuple, q: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -341,34 +356,10 @@ def _lyapunov_f(spectrum: tuple, q: np.ndarray, g: np.ndarray, h: np.ndarray) ->
     return (w.T @ y @ w).real
 
 
-def _f_equation_residuals(ss: StateSpace, j, b_dinv, dinv_c, a_inv,
-                          f: np.ndarray, f_inv: np.ndarray) -> dict:
-    """Relative residuals of the three similarity equations plus diagnostics."""
-
-    def rel(x, scale):
-        return float(np.linalg.norm(x) / max(1.0, scale))
-
-    return {
-        "f_eq_output_coupling": rel(j @ ss.B.T @ f + dinv_c, np.linalg.norm(dinv_c)),
-        "f_eq_input_coupling": rel(f @ b_dinv - ss.C.T @ j, np.linalg.norm(b_dinv)),
-        "f_eq_state_similarity": rel(
-            ss.A.T @ f + f @ a_inv, np.linalg.norm(ss.A) * max(1.0, np.linalg.norm(f))
-        ),
-        "f_eq_redundant_gram": rel(
-            ss.A.T @ f.T + f.T @ ss.A + ss.C.T @ j @ ss.C,
-            np.linalg.norm(ss.C) ** 2 + np.linalg.norm(ss.A) * max(1.0, np.linalg.norm(f)),
-        ),
-        "state_ccr_identity": rel(
-            ss.A @ f_inv + f_inv @ ss.A.T + ss.B @ j @ ss.B.T,
-            np.linalg.norm(ss.B) ** 2 + 1.0,
-        ),
-    }
-
-
 def _solve_f(ss: StateSpace, tol: float, spectrum: tuple | None = None):
     """Solve the similarity equations for the skew certificate F.
 
-    Returns (F, F^{-1}, diagnostics); ``spectrum``, when given, is the
+    Returns (F, F^{-1}, residuals); ``spectrum``, when given, is the
     ``_eigensystem`` of ``ss.A``, and the first pass does not decompose A
     again.  The three equations are linear in F:
 
@@ -377,38 +368,39 @@ def _solve_f(ss: StateSpace, tol: float, spectrum: tuple | None = None):
     Substituting the second into the third gives the Lyapunov equation
     A^T F + F A = C^T J C, which _lyapunov_f solves in the eigen-coordinates
     of A, O(n^3), pinning the entries of degenerate pole pairs by the second
-    equation.  A candidate is accepted only through the gate below: a
-    numerically nonsingular skew part and all three residuals within ``tol``.
-    When the eigenvector basis is singular or the candidate fails the gate (a
-    defective basis, or an unrealizable system), the same solve runs once more
-    on the equivalent equation under state feedback, and that candidate must
-    pass the gate; with B = 0 there is no feedback, and the first pass's error
-    stands.  The raw asymmetry of the solution is recorded before it
-    is removed.
+    equation.  At Theta = F^{-1} they are the time-domain conditions: output
+    coupling times D^{-1}, its transpose for an orthosymplectic D, and F (CCR
+    preservation) F.  A candidate is accepted only through the gate below: a
+    numerically nonsingular skew part and every ``_time_domain_conditions``
+    residual at (F^{-1}, F) within ``tol``.  When the eigenvector basis is
+    singular or the candidate fails the gate (a defective basis, or an
+    unrealizable system), the same solve runs once more on the equivalent
+    equation under state feedback, and that candidate must pass the gate;
+    with B = 0 there is no feedback, and the first pass's error stands.  The
+    raw asymmetry of the solution is recorded before it is removed.
     """
     if ss.state_dim == 0:
         raise ValueError("no dynamics: a static system does not define F")
     channels = ss.require_square_channels()
     inv = inverse_realization(ss)  # refuses a singular D
-    b_dinv, dinv_c, a_inv = inv.B, -inv.C, inv.A
+    b_dinv, dinv_c = inv.B, -inv.C
     j = j_matrix(channels)
 
     def gate(f_raw):
-        """(F, F^{-1}, diagnostics) of an accepted solution; raises otherwise."""
-        asym = float(np.linalg.norm(f_raw + f_raw.T) / max(1.0, np.linalg.norm(f_raw)))
+        """(F, F^{-1}, residuals) of an accepted solution; raises otherwise."""
+        asym = _relative(f_raw + f_raw.T, np.linalg.norm(f_raw))
         f = 0.5 * (f_raw - f_raw.T)
         _require_nonsingular(_min_singular_ratio(f), "similarity matrix F")
         f_inv = np.linalg.inv(f)
-        diagnostics = _f_equation_residuals(ss, j, b_dinv, dinv_c, a_inv, f, f_inv)
-        diagnostics["f_raw_asymmetry"] = asym
-        reason = _violations({k: diagnostics[k] for k in ("f_eq_output_coupling",
-                              "f_eq_input_coupling", "f_eq_state_similarity")}, tol)
+        residuals = _time_domain_conditions(ss, j, f_inv, f)
+        reason = _violations(residuals, tol)
         if reason:
             raise NotRealizableError(
                 f"no skew similarity solves the realizability equations "
                 f"({reason}); the system is not realizable or not minimal"
             )
-        return f, f_inv, diagnostics
+        residuals["f_raw_asymmetry"] = asym
+        return f, f_inv, residuals
 
     ctj = ss.C.T @ j
     q = ctj @ ss.C
@@ -432,8 +424,9 @@ def _solve_f(ss: StateSpace, tol: float, spectrum: tuple | None = None):
 def compute_f(ss: StateSpace) -> np.ndarray:
     """Unique skew similarity certificate of a minimal realizable system.
 
-    Raises ValueError for static systems, NotRealizableError when no solution
-    of the similarity equations holds within VERDICT_TOLERANCE,
+    Raises ValueError for static systems, NotRealizableError when D is not
+    orthosymplectic or no solution of the similarity equations meets the
+    time-domain conditions at Theta = F^{-1} within VERDICT_TOLERANCE,
     SingularMatrixError when D or the solution is singular to working
     precision, and LinAlgError when an eigendecomposition fails or both
     eigenvector bases are singular.
@@ -487,12 +480,10 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
         return SynthesisResult(F=empty, Rhat=empty, Sigma=empty, params=params,
                                equation_residuals=residuals, reduced_from=reduced_from)
 
-    f, f_inv, diagnostics = _solve_f(work, tol, spectrum_work)
+    f, f_inv, residuals = _solve_f(work, tol, spectrum_work)
     j = j_matrix(channels)
     rhat_raw = 0.5 * f @ (work.A @ f_inv + 0.5 * work.B @ j @ work.B.T) @ f
-    rhat_sym = float(
-        np.linalg.norm(rhat_raw - rhat_raw.T) / max(1.0, np.linalg.norm(rhat_raw))
-    )
+    rhat_sym = _relative(rhat_raw - rhat_raw.T, np.linalg.norm(rhat_raw))
     rhat = 0.5 * (rhat_raw + rhat_raw.T)
     sigma = relate_ccr(f_inv, theta_target)
     fact_resid = float(
@@ -509,13 +500,12 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
     rebuilt = build_pm_realization(params)
 
     def rel(x, ref):
-        return float(np.linalg.norm(x - ref) / max(1.0, np.linalg.norm(ref)))
+        return _relative(x - ref, np.linalg.norm(ref))
 
     # np.max, unlike max, keeps a NaN residual
     max_dev = float(np.max([rel(sigma @ rebuilt.A @ sigma_inv, work.A),
                             rel(sigma @ rebuilt.B, work.B),
                             rel(rebuilt.C @ sigma_inv, work.C)]))
-    residuals = dict(diagnostics)
     residuals["rhat_symmetry"] = rhat_sym
     residuals["ccr_factorization"] = fact_resid
     residuals["rebuild_max_relative_deviation"] = max_dev

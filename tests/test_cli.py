@@ -315,6 +315,34 @@ def test_synthesize_onto_a_scaled_theta_file(tmp_path, capsys):
     assert np.array_equal(jsonio.decode_real_matrix(json.loads(out)["params"]["Theta"]), theta)
 
 
+def test_check_theta_accepts_a_synthesis_onto_a_scaled_theta(tmp_path, capsys):
+    """The 16-state synthesis onto Theta = 1e8 J, rebuilt, is PR against that
+    Theta: every time-domain residual is relative."""
+    ss = build_pm_realization(random_pm_params(8, 1, np.random.default_rng(1)))
+    path = write(tmp_path, "sys.json", jsonio.encode_state_space(ss))
+    theta_path = write(tmp_path, "theta.json", jsonio.encode_real_matrix(1e8 * j_matrix(16)))
+    code, out, _ = run(capsys, "synthesize", "--input", path, "--theta", theta_path)
+    assert code == 0
+    params = jsonio.decode_synthesis_result(json.loads(out)).params
+    built = write(tmp_path, "built.json",
+                  jsonio.encode_state_space(build_pm_realization(params)))
+    code, out, err = run(capsys, "check", "--input", built, "--theta", theta_path)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "PR"
+
+
+@pytest.mark.parametrize("flags, want, text", [
+    (["--tol", "1e-20"], 1, "error: system is not physically realizable: frequency-domain"),
+    (["--samples", "0"], 3, "error: system is not physically realizable: no sample points"),
+])
+def test_example_refusal_is_an_error_and_an_exit_code(capsys, flags, want, text):
+    """A refused synthesis in the example ends as in synthesize: a line on
+    stderr and exit 1, or exit 3 when the check was inconclusive."""
+    code, out, err = run(capsys, "example", *flags)
+    assert (code, out) == (want, "")
+    assert err.startswith(text) and err.count("\n") == 1
+
+
 def test_synthesize_notes_a_reduced_input(tmp_path, capsys):
     ss = example_state_space()
     hidden = StateSpace(np.block([[ss.A, np.zeros((4, 2))], [np.zeros((2, 4)), -np.eye(2)]]),

@@ -380,6 +380,40 @@ def test_synthesize_onto_a_scaled_theta(modes, scale):
     assert result.equation_residuals["rebuild_max_relative_deviation"] <= 1e-12
 
 
+def synthesis_onto(modes, scale):
+    """The realization built from a synthesis of a random PR system onto
+    scale * J, and that J."""
+    ss = build_pm_realization(random_pm_params(modes, 1, np.random.default_rng(1)))
+    theta = scale * j_matrix(2 * modes)
+    return build_pm_realization(synthesize(ss, theta_target=theta).params), theta
+
+
+@pytest.mark.parametrize("modes, scale", [(2, 1e10), (8, 1e8), (32, 1e8)])
+def test_time_domain_check_accepts_a_synthesis_onto_a_scaled_theta(modes, scale):
+    """Each time-domain residual is relative, so an exact build at a large
+    Theta reads PR: absolute residuals grow with the norm of Theta."""
+    built, theta = synthesis_onto(modes, scale)
+    report = check_pr_time_domain(built, theta)
+    assert report.verdict == "PR", report.failure_reason
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_time_domain_check_refuses_a_drift_at_every_theta_scale(scale):
+    """A symmetric drift of A by 1e-6 relative is not-PR at every scale of
+    Theta.  The Hamiltonian reconstruction does not scale with Theta, and at
+    a small Theta it alone refuses the drift."""
+    for modes in (1, 8):
+        built, theta = synthesis_onto(modes, scale)
+        bump = np.random.default_rng(2).standard_normal(built.A.shape)
+        bump += bump.T
+        drift = 1e-6 * np.linalg.norm(built.A) / np.linalg.norm(bump) * bump
+        drifted = StateSpace(built.A + drift, built.B, built.C, built.D)
+        assert check_pr_time_domain(built, theta).verdict == "PR"
+        report = check_pr_time_domain(drifted, theta)
+        assert report.verdict == "not-PR"
+        assert report.condition_residuals["hamiltonian_reconstruction"] > 1e-7
+
+
 def test_padded_input_is_reduced_by_one_staircase_pair(monkeypatch):
     """synthesize reduces through minimal_realization alone: the two staircases
     of the reduction, with no separate minimality test before them."""
@@ -438,6 +472,26 @@ def test_frequency_check_rejects_generic_system():
     report = check_pr_frequency(ss)
     assert report.verdict == "not-PR"
     assert "jj_unitarity residual" in report.failure_reason
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_frequency_check_without_sample_points_is_inconclusive(samples):
+    """No sample point is no evidence: the verdict is inconclusive whatever
+    the system, while check_jj_unitary passes vacuously."""
+    for ss in (StateSpace.static(np.array([[0.0, 1.0], [1.0, 0.0]])), example_state_space()):
+        report = check_pr_frequency(ss, num_samples=samples)
+        assert report.verdict == "inconclusive"
+        assert report.failure_reason == f"no sample points to decide on: {samples} requested"
+        assert report.jj_unitarity_max_residual is None
+    assert check_jj_unitary(example_state_space(), num_samples=0).passed
+
+
+def test_compute_f_refuses_a_feedthrough_that_is_not_symplectic():
+    """The F gate holds every time-domain condition, D's structure among them."""
+    ss = build_pm_realization(random_pm_params(2, 1, np.random.default_rng(1)))
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])  # orthogonal, not symplectic
+    with pytest.raises(NotRealizableError, match="d_symplectic residual"):
+        compute_f(StateSpace(ss.A, ss.B, swap @ ss.C, swap @ ss.D))
 
 
 def test_frequency_check_inconclusive_on_placement_failure(monkeypatch):
@@ -890,15 +944,15 @@ def test_synthesize_non_generic_spectra_at_scale(kind, size, refuse_large_kron):
 @pytest.mark.parametrize("exponent", range(-12, -1))
 def test_synthesize_near_degenerate_pairs(exponent, refuse_large_kron):
     """Pole pairs summing to -gap and -2 gap, gap = 1e-12 ... 1e-2 on both
-    sides of the cutoff, next to a random 64-state block: all three F
-    equations hold to 1e-10."""
+    sides of the cutoff, next to a random 64-state block: the time-domain
+    conditions at Theta = F^{-1} hold to 1e-10."""
     block = build_pm_realization(random_pm_params(32, 1, np.random.default_rng(68)))
     ss = direct_sum([near_degenerate_model(10.0 ** exponent), block])
     result = synthesize(ss)
     res = result.equation_residuals
     assert res["rebuild_max_relative_deviation"] < 1e-7
     worst = max(res[k] for k in
-                ("f_eq_output_coupling", "f_eq_input_coupling", "f_eq_state_similarity"))
+                ("ccr_preservation", "output_coupling", "hamiltonian_reconstruction"))
     assert worst <= 1e-10
 
 
@@ -990,8 +1044,8 @@ def test_f_gate_refusal_is_worded_by_the_rule(rule_calls):
     with pytest.raises(NotRealizableError) as info:
         compute_f(junk)
     keys, tol, text = rule_calls[-1]
-    assert keys == ["f_eq_input_coupling", "f_eq_output_coupling",
-                    "f_eq_state_similarity"]
+    assert keys == ["ccr_preservation", "d_orthogonality", "d_symplectic",
+                    "hamiltonian_reconstruction", "output_coupling"]
     assert tol == VERDICT_TOLERANCE
     assert str(info.value) == (
         f"no skew similarity solves the realizability equations ({text}); "
@@ -1032,13 +1086,13 @@ def test_rebuild_gate_refuses_a_drifted_state_matrix(monkeypatch, rule_calls):
 
 
 def test_nan_similarity_residual_fails_the_f_gate(monkeypatch):
-    residuals = realizability._f_equation_residuals
+    residuals = realizability._time_domain_conditions
 
     def nan_coupling(*args):
-        return dict(residuals(*args), f_eq_input_coupling=np.nan)
+        return dict(residuals(*args), output_coupling=np.nan)
 
-    monkeypatch.setattr(realizability, "_f_equation_residuals", nan_coupling)
-    with pytest.raises(NotRealizableError, match="f_eq_input_coupling residual nan"):
+    monkeypatch.setattr(realizability, "_time_domain_conditions", nan_coupling)
+    with pytest.raises(NotRealizableError, match="output_coupling residual nan"):
         compute_f(example_state_space())
 
 

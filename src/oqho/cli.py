@@ -11,6 +11,7 @@ is built on the first call and reused by every later one.
 """
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -35,7 +36,7 @@ from .realizability import (
 from .skewfactor import cholesky_like
 from .statespace import spectrum_report
 from .structured import j_matrix
-from .worked_example import run_worked_example
+from .worked_example import EXAMPLE_POLES, run_worked_example
 
 __all__ = ["main", "entrypoint"]
 
@@ -45,6 +46,16 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 _VERDICT_EXIT = {"PR": EXIT_OK, "not-PR": EXIT_NOT_PR, "inconclusive": EXIT_INCONCLUSIVE}
+
+
+def _argument(parse, accept, wanted: str):
+    """argparse type: ``parse`` of a text that ``accept`` takes; others are usage errors."""
+    def convert(text):
+        with contextlib.suppress(ValueError):
+            if accept(value := parse(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+    return convert
 
 
 @functools.cache
@@ -72,12 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="commutation matrix: the literal J or a "
                                 "real-matrix JSON file")
         if tol:
-            p.add_argument("--tol", type=float, default=VERDICT_TOLERANCE,
+            p.add_argument("--tol", default=VERDICT_TOLERANCE, type=_argument(
+                               float, lambda t: 0 < t < np.inf, "a finite number above 0"),
                            help="residual tolerance (default 1e-8)")
         if sampling:
             p.add_argument("--samples", type=int, default=20,
                            help="number of frequency sample points (default 20)")
-            p.add_argument("--seed", type=int, default=42,
+            p.add_argument("--seed", default=42, type=_argument(
+                               int, lambda s: s >= 0, "an integer of at least 0"),
                            help="sample placement seed (default 42)")
         if direction:
             p.add_argument("--direction", required=True,
@@ -203,6 +216,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    _check_sample_budget(args.samples, len(EXAMPLE_POLES))  # its state dimension
     lines, payload = run_worked_example(tol=args.tol, num_samples=args.samples,
                                         seed=args.seed)
     sys.stdout.write("\n".join(lines) + "\n")

@@ -53,6 +53,7 @@ from .statespace import (
     StateSpace,
     _eigensystem,
     _evaluate_quadruple,
+    _mirror_pairs,
     inverse_realization,
     minimal_realization,
 )
@@ -86,10 +87,6 @@ SAMPLE_EXCLUSION = 1e-6
 VERDICT_TOLERANCE = 1e-8
 # end-to-end tolerance for the synthesize rebuild verification
 REBUILD_TOLERANCE = 1e-7
-# |l_i + l_j| <= DEGENERATE_PAIR_CUTOFF * max|l| marks a degenerate pole pair of
-# the F solve: dividing by l_i + l_j amplifies rounding by 1/|l_i + l_j|, and
-# above the cutoff that error stays far below VERDICT_TOLERANCE
-DEGENERATE_PAIR_CUTOFF = 1e-6
 
 
 @dataclass
@@ -335,15 +332,14 @@ def _lyapunov_f(spectrum: tuple, q: np.ndarray, g: np.ndarray, h: np.ndarray) ->
 
     ``spectrum`` is the ``_eigensystem`` (L, V, V^{-1}) of A.  With
     A = V L V^{-1} and Y = V^T F V, (l_i + l_j) Y_ij = (V^T Q V)_ij.  The
-    entries of degenerate pairs are pinned by Y V^{-1} G = V^T H, one least-
+    entries of _mirror_pairs are pinned by Y V^{-1} G = V^T H, one least-
     squares solve for all the rows that pin the same columns.  Raises
     LinAlgError when the eigenvector basis is singular.
     """
     lam, v, w = spectrum
     if w is None:
         raise np.linalg.LinAlgError("Singular matrix")
-    gap = lam[:, None] + lam[None, :]
-    pinned = np.abs(gap) <= DEGENERATE_PAIR_CUTOFF * np.abs(lam).max()
+    gap, pinned = _mirror_pairs(lam)
     y = (v.T @ q @ v) / np.where(pinned, 1.0, gap)
     if pinned.any():
         wg, vh = w @ g, v.T @ h
@@ -367,7 +363,7 @@ def _solve_f(ss: StateSpace, tol: float, spectrum: tuple | None = None):
 
     Substituting the second into the third gives the Lyapunov equation
     A^T F + F A = C^T J C, which _lyapunov_f solves in the eigen-coordinates
-    of A, O(n^3), pinning the entries of degenerate pole pairs by the second
+    of A, O(n^3), pinning the entries of mirrored pole pairs by the second
     equation.  At Theta = F^{-1} they are the time-domain conditions: output
     coupling times D^{-1}, its transpose for an orthosymplectic D, and F (CCR
     preservation) F.  A candidate is accepted only through the gate below: a

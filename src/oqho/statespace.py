@@ -50,12 +50,12 @@ RESOLVENT_GUARD = 1e-9
 # values stay within 1e-11 of the solves up to it (scripts/modal_sweep.py).
 MODAL_CONDITION_LIMIT = 1e4
 
-# A staircase block direction with singular value below
-# RANK_CUTOFF * max(|A|_F, |B|_F) is taken as unreachable.
+# A staircase direction with singular value below RANK_CUTOFF * |B|_F in the
+# first block, or RANK_CUTOFF * |A|_F in a later one, is taken as unreachable.
 RANK_CUTOFF = 1e-10
 
-# spectrum_report pairs a zero with a mirrored pole, and a pole with a mirrored
-# pole, when they lie closer than PAIRING_TOLERANCE.
+# Two values closer than PAIRING_TOLERANCE * max|pole| mirror each other: the
+# zero/pole mirror test, spectral genericity and the F solve's pinned pairs.
 PAIRING_TOLERANCE = 1e-6
 
 
@@ -279,16 +279,17 @@ def _reachable_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Block Arnoldi: each new block a @ V_k is orthogonalized twice against the
     basis so far, and an SVD keeps the directions whose singular values clear
-    RANK_CUTOFF * max(|a|_F, |b|_F).  No power of ``a`` is formed: the
-    Krylov matrix [b, ab, ..., a^{n-1} b] loses rank numerically from a few
-    modes up and overflows at a few hundred states (Paige, 1981).
+    RANK_CUTOFF * |b|_F in the first block and RANK_CUTOFF * |a|_F after.  No
+    power of ``a`` is formed: the Krylov matrix [b, ab, ..., a^{n-1} b] loses
+    rank numerically from a few modes up and overflows at a few hundred states
+    (Paige, 1981).
 
     Raises LinAlgError, as eigvals does, when ``a`` or ``b`` holds an inf or
     a NaN: the SVD of a block with an inf may never return.
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    cutoff = RANK_CUTOFF * max(np.linalg.norm(a), np.linalg.norm(b))
+    cutoff, cutoff_a = RANK_CUTOFF * np.linalg.norm(b), RANK_CUTOFF * np.linalg.norm(a)
     basis = np.zeros((a.shape[0], 0))
     block = b
     while block.shape[1] and basis.shape[1] < a.shape[0]:
@@ -297,7 +298,7 @@ def _reachable_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         u, sv, _ = np.linalg.svd(block, full_matrices=False)
         new = u[:, sv > cutoff]
         basis = np.hstack([basis, new])
-        block = a @ new
+        block, cutoff = a @ new, cutoff_a
     return basis
 
 
@@ -364,26 +365,28 @@ def match_multisets(left, right, tol: float = PAIRING_TOLERANCE):
     return True, max_dist
 
 
+def _mirror_pairs(lam: np.ndarray) -> tuple:
+    """(l_i + l_j, where it vanishes within PAIRING_TOLERANCE * max|l|): for the
+    conjugate-closed spectrum of a real matrix, the pairs mirrored about the
+    imaginary axis.  It decides genericity and the F solve's pinned entries."""
+    gap = lam[:, None] + lam[None, :]
+    return gap, np.abs(gap) <= PAIRING_TOLERANCE * np.abs(lam).max(initial=0.0)
+
+
 def spectrum_report(ss: StateSpace) -> SpectrumReport:
     """Poles, zeros, the zero/pole mirror test, and spectral genericity.
 
     Mirror symmetry pairs the zeros against the poles reflected through the
-    imaginary axis.  Spectral genericity fails when any two poles are placed
-    symmetrically about the imaginary axis (purely imaginary poles included).
+    imaginary axis.  Spectral genericity fails when _mirror_pairs finds two
+    poles placed symmetrically about it (purely imaginary poles included).
     """
     p = poles(ss)
     z = transmission_zeros(ss)
-    mirrored = -p.conj()
-    matched, max_dist = match_multisets(mirrored, z)
-    mirror_gap = p[:, None] + p.conj()[None, :]
-    generic = not (np.hypot(mirror_gap.real, mirror_gap.imag) <= PAIRING_TOLERANCE).any()
-    return SpectrumReport(
-        poles=p,
-        zeros=z,
-        mirror_symmetric=matched,
-        spectrally_generic=generic,
-        max_pairing_distance=max_dist,
-    )
+    matched, max_dist = match_multisets(
+        -p.conj(), z, PAIRING_TOLERANCE * np.abs(p).max(initial=0.0))
+    return SpectrumReport(p, z, mirror_symmetric=matched,
+                          spectrally_generic=not _mirror_pairs(p)[1].any(),
+                          max_pairing_distance=max_dist)
 
 
 def siso_realization(entry: RationalEntry) -> StateSpace:

@@ -277,6 +277,28 @@ def test_tol_gates_the_verdict_commands(system_file, capsys, argv, tol, want):
     assert code == want
 
 
+@pytest.mark.parametrize("command", [
+    ["check", "--input", "SYSTEM"],
+    ["check", "--input", "SYSTEM", "--theta", "J"],
+    ["synthesize", "--input", "SYSTEM"],
+    ["example"],
+])
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "x"),
+    ("--seed", "-1"), ("--seed", "1.5"),
+])
+def test_bad_tol_or_seed_is_a_usage_error_naming_the_flag(system_file, capsys, command,
+                                                          flag, value):
+    """--tol must be a finite number above 0 and --seed an integer of at least
+    0: an infinite --tol would pass every system, a NaN or negative one would
+    list zero residuals as violations."""
+    argv = [system_file if a == "SYSTEM" else a for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: expected " in capsys.readouterr().err
+
+
 def test_reports_are_byte_identical_across_runs(system_file, capsys):
     _, first, _ = run(capsys, "check", "--input", system_file, "--seed", "7")
     _, second, _ = run(capsys, "check", "--input", system_file, "--seed", "7")
@@ -333,11 +355,15 @@ def test_check_theta_accepts_a_synthesis_onto_a_scaled_theta(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags, want, text", [
     (["--tol", "1e-20"], 1, "error: system is not physically realizable: frequency-domain"),
-    (["--samples", "0"], 3, "error: system is not physically realizable: no sample points"),
+    (["--samples", "0"], 2, "error: --samples 0 is too small"),
+    (["--samples", "3"], 2, "error: --samples 3 is too small: certification of a system "
+                            "with 4 states needs at least 5 points"),
+    (["--samples", "-5"], 2, "error: --samples -5 is too small"),
 ])
 def test_example_refusal_is_an_error_and_an_exit_code(capsys, flags, want, text):
     """A refused synthesis in the example ends as in synthesize: a line on
-    stderr and exit 1, or exit 3 when the check was inconclusive."""
+    stderr and exit 1; a sample budget below the model's needs is a usage
+    error, exit 2, as in check."""
     code, out, err = run(capsys, "example", *flags)
     assert (code, out) == (want, "")
     assert err.startswith(text) and err.count("\n") == 1

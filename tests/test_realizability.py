@@ -707,7 +707,7 @@ def test_compute_f_pins_nonzero_entries_of_an_undamped_pair(modes, monkeypatch, 
     f = compute_f(ss)
     lam, v = np.linalg.eig(ss.A)
     gap = np.abs(lam[:, None] + lam[None, :])
-    pinned = gap <= realizability.DEGENERATE_PAIR_CUTOFF * np.abs(lam).max()
+    pinned = gap <= statespace.PAIRING_TOLERANCE * np.abs(lam).max()
     assert len(passes) == 1
     assert np.count_nonzero(pinned) == 2
     y = np.abs(v.T @ f @ v)
@@ -722,7 +722,7 @@ def per_row_lyapunov_f(spectrum, q, g, h):
     least-squares solve per affected row."""
     lam, v, w = spectrum
     gap = lam[:, None] + lam[None, :]
-    pinned = np.abs(gap) <= realizability.DEGENERATE_PAIR_CUTOFF * np.abs(lam).max()
+    pinned = np.abs(gap) <= statespace.PAIRING_TOLERANCE * np.abs(lam).max()
     y = (v.T @ q @ v) / np.where(pinned, 1.0, gap)
     wg, vh = w @ g, v.T @ h
     for i in np.flatnonzero(pinned.any(axis=1)):
@@ -749,7 +749,7 @@ def test_pinned_rows_share_one_solve_per_pattern(ss, monkeypatch):
         ref = compute_f(ss)
     lam = np.linalg.eig(ss.A)[0]
     pinned = np.abs(lam[:, None] + lam[None, :]) <= (
-        realizability.DEGENERATE_PAIR_CUTOFF * np.abs(lam).max())
+        statespace.PAIRING_TOLERANCE * np.abs(lam).max())
     patterns = np.unique(pinned[pinned.any(axis=1)], axis=0).shape[0]
     calls = []
     lstsq = np.linalg.lstsq
@@ -758,6 +758,41 @@ def test_pinned_rows_share_one_solve_per_pattern(ss, monkeypatch):
     f = compute_f(ss)
     assert 1 <= len(calls) == patterns
     assert np.linalg.norm(f - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def time_scaled(ss, k):
+    """G(s) -> G(s / 4^k): A -> 4^k A, B -> 2^k B and C -> 2^k C, exactly in
+    floating point; a realizable system stays realizable, with the same F."""
+    return StateSpace(4.0 ** k * ss.A, 2.0 ** k * ss.B, 2.0 ** k * ss.C, ss.D)
+
+
+def genericity_cases():
+    """pinned_systems() up to 128 states, random realizable systems of 2-64
+    states, each at 4^k for k in {0, -14, -10, 10, 14}."""
+    systems = [(name, ss) for name, ss in pinned_systems() if ss.state_dim <= 128]
+    systems += [(f"random {2 * modes}", build_pm_realization(
+        random_pm_params(modes, 1, np.random.default_rng(modes)))) for modes in (1, 2, 4, 8, 32)]
+    for name, ss in systems:
+        for k in (0, -14, -10, 10, 14):
+            yield pytest.param(time_scaled(ss, k), id=f"{name}, k={k}")
+
+
+@pytest.mark.parametrize("ss", genericity_cases())
+def test_spectrally_generic_exactly_when_the_f_solve_pins_nothing(ss, monkeypatch):
+    """One mirror-pair rule: spectrum_report reads a spectrum generic exactly
+    when the first F pass pins no entry (makes no least-squares solve), at
+    every time scale."""
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *args, **kwargs: calls.append(None) or lstsq(*args, **kwargs))
+    passes = []
+    solve = realizability._lyapunov_f
+    monkeypatch.setattr(realizability, "_lyapunov_f",
+                        lambda *args: passes.append(None) or solve(*args))
+    compute_f(ss)
+    assert len(passes) == 1
+    assert spectrum_report(ss).spectrally_generic == (not calls)
 
 
 def test_compute_f_refuses_a_singular_feedthrough():

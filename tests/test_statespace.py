@@ -28,6 +28,7 @@ from oqho.statespace import (
     transmission_zeros,
 )
 from oqho.worked_example import example_rational_entries, example_state_space
+from test_realizability import time_scaled
 
 seeds = st.integers(0, 10**6)
 
@@ -308,6 +309,22 @@ def test_is_minimal_at_256_states():
     assert is_minimal(ss)
 
 
+def scaled_channels(ss, factor):
+    """B and C scaled by ``factor``, A kept: the same minimality."""
+    return StateSpace(ss.A, factor * ss.B, factor * ss.C, ss.D)
+
+
+@pytest.mark.parametrize("exponent", [-12, -6, 6, 12])
+def test_minimality_does_not_depend_on_the_scale_of_b_and_c(exponent):
+    """Each staircase block is cut relative to the matrix that made it, |B|
+    for the first and |A| after, so B and C scaled by 1e-12 ... 1e12 leave
+    these minimal systems minimal."""
+    for ss in (example_state_space(),
+               build_pm_realization(random_pm_params(4, 1, np.random.default_rng(1)))):
+        scaled = scaled_channels(ss, 10.0 ** exponent)
+        assert minimal_realization(scaled) is scaled
+
+
 def padded_system(core, hidden, rng):
     """core plus 2 hidden states, mixed by a random orthogonal similarity.
 
@@ -346,6 +363,16 @@ def test_minimal_realization_recovers_true_order_of_padded_systems(modes, hidden
         1.0, np.linalg.norm(want, axis=(1, 2))
     )
     assert dev.max() <= 1e-10
+
+
+@pytest.mark.parametrize("exponent", [-12, 12])
+@pytest.mark.parametrize("hidden", ["uncontrollable", "unobservable", "both"])
+def test_scaled_padded_systems_keep_their_true_order(hidden, exponent):
+    """The per-block cut still finds the hidden modes when B and C are scaled."""
+    rng = np.random.default_rng(5)
+    core = build_pm_realization(random_pm_params(5, 2, rng))
+    padded = scaled_channels(padded_system(core, hidden, rng), 10.0 ** exponent)
+    assert minimal_realization(padded).state_dim == core.state_dim
 
 
 def test_transmission_zeros_of_example():
@@ -469,6 +496,20 @@ def test_spectral_genericity_equals_pairwise_reference():
         ss = StateSpace(a, np.eye(n), np.eye(n), 2.0 * np.eye(n))
         rep = spectrum_report(ss)
         assert rep.spectrally_generic == reference_spectrally_generic(rep.poles, 1e-6)
+
+
+@pytest.mark.parametrize("k", [-14, -10, 10, 14])
+def test_spectrum_verdicts_do_not_depend_on_the_time_scale(k):
+    """Both verdicts are relative to max|pole|: the reference model and random
+    realizable systems of 2-64 states read the same at 4^k as at k = 0."""
+    systems = [example_state_space()] + [
+        build_pm_realization(random_pm_params(modes, 1, np.random.default_rng(modes)))
+        for modes in (1, 2, 4, 8, 16, 32)]
+    for ss in systems:
+        base, rep = spectrum_report(ss), spectrum_report(time_scaled(ss, k))
+        assert base.mirror_symmetric
+        assert rep.mirror_symmetric
+        assert rep.spectrally_generic == base.spectrally_generic
 
 
 def test_require_square_channels_refuses_zero_channels():

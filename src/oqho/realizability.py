@@ -10,8 +10,11 @@ realizable as an oscillator network exactly when
 The frequency check samples the (J, J)-unitarity defect at pseudo-random
 points away from the poles.  One eigendecomposition A = V L V^{-1} places the
 points, guards them, and gives G and G~ at every one of them in modal form
-(see ``statespace.evaluate``); synthesis hands the same eigensystem to the
-first pass of its F solve.  The time-domain check verifies the equivalent
+(see ``statespace.evaluate``); the first pass of the F solve in synthesis, and
+a spectrum report of the same A, take it from the memo of
+``statespace._eigensystem`` rather than decompose A again.  A defect that is
+not finite in double precision leaves the check inconclusive.  The
+time-domain check verifies the equivalent
 parameter-level identities against a given commutation matrix Theta (James,
 Nurdin and Petersen, IEEE TAC 53(8), 2008), each residual relative:
 
@@ -227,26 +230,23 @@ def draw_sample_points(avoid, num_points: int, seed: int = 42,
 def check_jj_unitary(ss: StateSpace, num_samples: int = 20,
                      seed: int = 42) -> JjUnitarityResult:
     """Sample the defect of G~(s) J G(s) = J (and its flip) at random points;
-    it passes within VERDICT_TOLERANCE."""
+    it passes within VERDICT_TOLERANCE.  Transfer values too large for double
+    precision give a non-finite defect, without a warning."""
     ss.require_square_channels()
-    return _sample_jj_defect(ss, _eigensystem(ss.A), num_samples, seed)
-
-
-def _sample_jj_defect(ss: StateSpace, spectrum: tuple, num_samples: int,
-                      seed: int) -> JjUnitarityResult:
-    """check_jj_unitary of a square-channel system whose ``_eigensystem`` is known."""
     j = j_matrix(ss.num_outputs)
+    spectrum = _eigensystem(ss.A)
     lam = spectrum[0]
     avoid = np.concatenate([lam, -lam.conj()])
     pts = draw_sample_points(avoid, num_samples, seed)
     # SAMPLE_EXCLUSION > RESOLVENT_GUARD * (1 + |s|): no point trips the G or G~ guard;
     # G at the points, then G at -conj(points), conjugate-transposed into G~
-    both = _evaluate_quadruple(ss.A, ss.B, ss.C, ss.D,
-                               np.concatenate([pts, -np.conj(pts)]), spectrum)
-    g, g_conj = both[:len(pts)], both[len(pts):].conj().transpose(0, 2, 1)
-    defects = np.concatenate(
-        [_frobenius_norms(g_conj @ j @ g - j), _frobenius_norms(g @ j @ g_conj - j)]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        both = _evaluate_quadruple(ss.A, ss.B, ss.C, ss.D,
+                                   np.concatenate([pts, -np.conj(pts)]), spectrum)
+        g, g_conj = both[:len(pts)], both[len(pts):].conj().transpose(0, 2, 1)
+        defects = np.concatenate(
+            [_frobenius_norms(g_conj @ j @ g - j), _frobenius_norms(g @ j @ g_conj - j)]
+        )
     max_resid = float(np.max(defects, initial=0.0))
     passed = _violations({"jj_unitarity": max_resid}, VERDICT_TOLERANCE) is None
     return JjUnitarityResult(passed, max_resid, pts)
@@ -254,31 +254,35 @@ def _sample_jj_defect(ss: StateSpace, spectrum: tuple, num_samples: int,
 
 def check_pr_frequency(ss: StateSpace, tol: float = VERDICT_TOLERANCE,
                        num_samples: int = 20, seed: int = 42) -> PrReport:
-    """Frequency-domain realizability verdict for a square even-channel system."""
-    return _check_pr_frequency(ss, tol, num_samples, seed)[0]
+    """Frequency-domain realizability verdict for a square even-channel system.
 
-
-def _check_pr_frequency(ss: StateSpace, tol: float, num_samples: int,
-                        seed: int) -> tuple:
-    """(check_pr_frequency report, ``_eigensystem`` of ``ss.A``): synthesize
-    reuses the eigensystem for the first pass of its F solve."""
+    The verdict is "inconclusive", with the D residuals reported, when the
+    sample points cannot be placed, or when the sampled defect is not finite
+    and D is orthogonal.
+    """
     ss.require_square_channels()
-    spectrum = _eigensystem(ss.A)
     conditions = {"d_orthogonality": orthogonality_residual(ss.D),
                   "d_symplectic": symplectic_residual(ss.D)}
     try:
         if num_samples < 1:  # with no point, every system would pass
             raise SamplePlacementError(
                 f"no sample points to decide on: {num_samples} requested")
-        jj = _sample_jj_defect(ss, spectrum, num_samples, seed)
-    except SamplePlacementError as exc:  # the D residuals, and no verdict
-        report = replace(_report("frequency", conditions, (), tol),
-                         verdict="inconclusive", failure_reason=str(exc))
-        return report, spectrum
-    conditions["jj_unitarity"] = jj.max_residual
-    # D symplectic is reported, not gated: (J,J)-unitarity implies it
-    report = _report("frequency", conditions, ("d_orthogonality", "jj_unitarity"), tol, jj)
-    return report, spectrum
+        jj = check_jj_unitary(ss, num_samples, seed)
+    except SamplePlacementError as exc:
+        reason = str(exc)
+    else:
+        if np.isfinite(jj.max_residual):
+            conditions["jj_unitarity"] = jj.max_residual
+            # D symplectic is reported, not gated: (J,J)-unitarity implies it
+            return _report("frequency", conditions, ("d_orthogonality", "jj_unitarity"),
+                           tol, jj)
+        report = _report("frequency", conditions, ("d_orthogonality",), tol)
+        if not report.is_pr:  # a D that is not orthogonal decides without the defect
+            return report
+        reason = ("frequency-domain check inconclusive: the sampled (J,J) defect "
+                  f"is {jj.max_residual} in double precision")
+    return replace(_report("frequency", conditions, (), tol),
+                   verdict="inconclusive", failure_reason=reason)
 
 
 def check_pr_time_domain(ss: StateSpace, theta,
@@ -352,12 +356,10 @@ def _lyapunov_f(spectrum: tuple, q: np.ndarray, g: np.ndarray, h: np.ndarray) ->
     return (w.T @ y @ w).real
 
 
-def _solve_f(ss: StateSpace, tol: float, spectrum: tuple | None = None):
+def _solve_f(ss: StateSpace, tol: float):
     """Solve the similarity equations for the skew certificate F.
 
-    Returns (F, F^{-1}, residuals); ``spectrum``, when given, is the
-    ``_eigensystem`` of ``ss.A``, and the first pass does not decompose A
-    again.  The three equations are linear in F:
+    Returns (F, F^{-1}, residuals).  The three equations are linear in F:
 
         J B^T F = -D^{-1} C,   F B D^{-1} = C^T J,   A^T F + F (A - B D^{-1} C) = 0.
 
@@ -401,9 +403,7 @@ def _solve_f(ss: StateSpace, tol: float, spectrum: tuple | None = None):
     ctj = ss.C.T @ j
     q = ctj @ ss.C
     try:
-        if spectrum is None:
-            spectrum = _eigensystem(ss.A)
-        return gate(_lyapunov_f(spectrum, q, b_dinv, ctj))
+        return gate(_lyapunov_f(_eigensystem(ss.A), q, b_dinv, ctj))
     except (np.linalg.LinAlgError, SingularMatrixError, NotRealizableError):
         if not ss.B.any():  # the feedback shift below divides by |B|^2
             raise
@@ -451,7 +451,7 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
     """
     work = minimal_realization(ss)
     reduced_from = None if work is ss else ss.state_dim
-    freq, spectrum_work = _check_pr_frequency(work, tol, num_samples, seed)
+    freq = check_pr_frequency(work, tol, num_samples, seed)
     if freq.verdict != "PR":
         raise NotRealizableError(
             f"system is not physically realizable: {freq.failure_reason}",
@@ -476,7 +476,8 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
         return SynthesisResult(F=empty, Rhat=empty, Sigma=empty, params=params,
                                equation_residuals=residuals, reduced_from=reduced_from)
 
-    f, f_inv, residuals = _solve_f(work, tol, spectrum_work)
+    # the memo of _eigensystem hands the check's decomposition of A to the F solve
+    f, f_inv, residuals = _solve_f(work, tol)
     j = j_matrix(channels)
     rhat_raw = 0.5 * f @ (work.A @ f_inv + 0.5 * work.B @ j @ work.B.T) @ f
     rhat_sym = _relative(rhat_raw - rhat_raw.T, np.linalg.norm(rhat_raw))

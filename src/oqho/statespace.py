@@ -7,14 +7,21 @@ reports.
 
 Every transfer-matrix value in the package, real or complex, G or G~, comes
 from one evaluator.  One eigendecomposition of the state matrix,
-A = V diag(lam) V^{-1}, which the caller may already hold, guards all requested
-points against nearby poles and gives every value in modal form,
-(C V) diag(1 / (s - lam)) (V^{-1} B) + D, at O(n q p) per point.  A defective
-or ill-conditioned eigenvector basis (MODAL_CONDITION_LIMIT) takes a single
-stacked linear solve of every resolvent instead.  The conjugate system G~(s)
-is the adjoint of G at -conj(s), so one eigensystem serves both.
+A = V diag(lam) V^{-1}, guards all requested points against nearby poles and
+gives every value in modal form, (C V) diag(1 / (s - lam)) (V^{-1} B) + D, at
+O(n q p) per point.  A defective or ill-conditioned eigenvector basis
+(MODAL_CONDITION_LIMIT) takes a single stacked linear solve of every
+resolvent instead.  The conjugate system G~(s) is the adjoint of G at
+-conj(s), so one eigensystem serves both.
+
+Every eigendecomposition of a state matrix goes through ``_eigensystem``,
+which remembers the last two by the bytes of the matrix: the poles, the
+sampled check and the F solve of one A share one ``eig``, and so do the point
+by point comparisons of two realizations.  The transmission zeros are the
+eigenvalues of another matrix and are computed apart, by ``eigvals``.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,25 +187,39 @@ def _strip_leading(coeffs):
 
 
 def poles(ss: StateSpace) -> np.ndarray:
-    """Eigenvalues of A; empty for a static system."""
-    if ss.state_dim == 0:  # static checks make no LAPACK call
-        return np.zeros(0, dtype=complex)
-    return np.linalg.eigvals(ss.A)
+    """Eigenvalues of A, a copy of its ``_eigensystem``'s; empty for a static system."""
+    return _eigensystem(ss.A)[0].copy()
 
 
 def _eigensystem(a: np.ndarray) -> tuple:
     """(lam, V, V^{-1}) of ``a``: one eig and one inv, shared by every use of the spectrum.
 
-    V^{-1} is None when inv finds V singular (a defective ``a``).  A static
+    V^{-1} is None when inv finds V singular (a defective ``a``).  The arrays
+    are read-only, since ``_decompose`` keeps the last two results; a matrix
+    changed in place has other bytes and is decomposed afresh.  A static
     system makes no LAPACK call.
     """
     if a.shape[0] == 0:
         return np.zeros(0, dtype=complex), np.zeros((0, 0)), np.zeros((0, 0))
-    lam, v = np.linalg.eig(a)
+    return _decompose(a.shape, a.dtype, a.tobytes())
+
+
+# Keyed on shape, dtype and bytes, so -0.0 and 0.0 differ.  Two entries: a
+# check and the spectrum report of one A, or the two realizations an output
+# check compares point by point.  An entry of n states keeps n^2 * 8 key
+# bytes, V and V^{-1} (2 n^2 * 16): about 80 MB for two entries at 1024 states.
+@functools.lru_cache(maxsize=2)
+def _decompose(shape: tuple, dtype: np.dtype, data: bytes) -> tuple:
+    """``_eigensystem`` of the matrix whose C-order bytes are ``data``."""
+    lam, v = np.linalg.eig(np.frombuffer(data, dtype).reshape(shape))
     try:
-        return lam, v, np.linalg.inv(v)
+        w = np.linalg.inv(v)
     except np.linalg.LinAlgError:
-        return lam, v, None
+        w = None
+    for x in (lam, v, w):
+        if x is not None:
+            x.flags.writeable = False
+    return lam, v, w
 
 
 def _evaluate_quadruple(a, b, c, d, points, spectrum) -> np.ndarray:
@@ -237,10 +258,9 @@ def _evaluate_quadruple(a, b, c, d, points, spectrum) -> np.ndarray:
 def evaluate(ss: StateSpace, points) -> np.ndarray:
     """Transfer matrices C (sI - A)^{-1} B + D at every point, stacked (k, q, p).
 
-    One eigendecomposition A = V diag(lam) V^{-1}, computed here, guards
-    every point against nearby poles and gives every value in modal form,
-    (C V) diag(1 / (s - lam)) (V^{-1} B) + D; callers that already hold the
-    eigensystem pass it to the private evaluator instead.  Beyond the O(n^2)
+    One eigendecomposition A = V diag(lam) V^{-1}, the ``_eigensystem`` of
+    A, guards every point against nearby poles and gives every value in modal
+    form, (C V) diag(1 / (s - lam)) (V^{-1} B) + D.  Beyond the O(n^2)
     eigensystem, the k points take O(k q n) memory for n states, q outputs
     and p inputs.  An ill-conditioned or defective eigenvector basis (see
     MODAL_CONDITION_LIMIT) falls back to one stacked solve of all k
@@ -284,7 +304,7 @@ def _reachable_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rank numerically from a few modes up and overflows at a few hundred states
     (Paige, 1981).
 
-    Raises LinAlgError, as eigvals does, when ``a`` or ``b`` holds an inf or
+    Raises LinAlgError, as eig does, when ``a`` or ``b`` holds an inf or
     a NaN: the SVD of a block with an inf may never return.
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -335,8 +355,13 @@ def inverse_realization(ss: StateSpace) -> StateSpace:
 
 
 def transmission_zeros(ss: StateSpace) -> np.ndarray:
-    """Transmission zeros as the poles of the inverse realization."""
-    return poles(inverse_realization(ss))
+    """Transmission zeros as the poles of the inverse realization, by
+    ``eigvals``: no caller needs their eigenvectors or decomposes that
+    state matrix again, so they stay out of the ``_eigensystem`` memo."""
+    a = inverse_realization(ss).A
+    if a.shape[0] == 0:  # static checks make no LAPACK call
+        return np.zeros(0, dtype=complex)
+    return np.linalg.eigvals(a)
 
 
 def match_multisets(left, right, tol: float = PAIRING_TOLERANCE):
@@ -346,15 +371,27 @@ def match_multisets(left, right, tol: float = PAIRING_TOLERANCE):
     differ or some pairing distance exceeds ``tol``; the left list is visited
     in lexicographic (real, imag) order to keep the pairing deterministic, and
     each takes the nearest still-unused right value (the first one on ties).
+    When the nearest values of all left ones are distinct, that is the
+    pairing, and it is taken at once.
     """
     left = np.asarray(left, dtype=complex).reshape(-1)
     right = np.asarray(right, dtype=complex).reshape(-1)
     if left.size != right.size:
         return False, float("inf")
+    if not left.size:
+        return True, 0.0
     left = left[np.lexsort((left.imag, left.real))]
     diff = left[:, None] - right[None, :]
     # hypot rounds exactly as the scalar abs(); np.abs on complex arrays may not
     dists = np.hypot(diff.real, diff.imag)
+    nearest = np.argmin(dists, axis=1)
+    # np.unique would import numpy.ma on its first call
+    if np.bincount(nearest).max() == 1:
+        d = dists[np.arange(left.size), nearest]
+        over = np.flatnonzero(d > tol)
+        stop = over[0] + 1 if over.size else d.size
+        # the builtin max over the visited rows, as the loop below takes it
+        return not over.size, max([0.0, *d[:stop].tolist()])
     max_dist = 0.0
     for row in dists:
         k = np.argmin(row)

@@ -156,12 +156,32 @@ def test_numerical_failure_is_inconclusive(system_file, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    # the check decomposes A with eig; spectrum's poles come from eigvals
+    # every decomposition of A, the check's among them, goes through eig;
+    # spectrum's zeros come from eigvals
     for name in ("eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, fail)
     code, _, err = run(capsys, "check", "--input", system_file)
     assert code == 3
     assert "numerical failure: Eigenvalues did not converge" in err
+
+
+@pytest.mark.parametrize("command", ["check", "synthesize"])
+def test_overflowing_defect_is_inconclusive(command, tmp_path, capsys):
+    """With B and C scaled by 1e100 the sampled (J,J) defect overflows: exit 3,
+    a reason that names the frequency check, no warning, and a report that
+    loads."""
+    ss = example_state_space()
+    path = write(tmp_path, "huge.json", jsonio.encode_state_space(
+        StateSpace(ss.A, 1e100 * ss.B, 1e100 * ss.C, ss.D)))
+    out_path = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, command, "--input", path, "--output", str(out_path))
+    assert code == 3
+    assert "frequency-domain check inconclusive" in err
+    report = jsonio.decode_pr_report(jsonio.load_path(str(out_path)))
+    assert report.verdict == "inconclusive"
+    assert report.jj_unitarity_max_residual is None
 
 
 def test_convert_roundtrip_files_are_identical(tmp_path, capsys):

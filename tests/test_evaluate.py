@@ -1,6 +1,9 @@
 """The transfer evaluator against per-point references: the modal formula bit
 for bit, and the resolvent solve it replaces within 1e-11."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -217,3 +220,16 @@ def test_points_clear_of_the_guard_are_evaluated():
     offset = 1e3 * RESOLVENT_GUARD
     stack = evaluate(ss, lam[:2] + offset)
     assert np.all(np.isfinite(stack))
+
+
+def test_modal_sweep_runs_on_the_private_evaluator():
+    """scripts/modal_sweep.py calls the private evaluator: its deviation() still
+    gives kappa_1 and a modal deviation within 1e-11 on an 8-state system."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "modal_sweep.py"
+    spec = importlib.util.spec_from_file_location("modal_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    ss = build_pm_realization(random_pm_params(4, 1, np.random.default_rng(8)))
+    kappa, dev = sweep.deviation(ss, 0)
+    assert kappa == modal_condition(ss.A)
+    assert 0.0 <= dev <= 1e-11

@@ -308,7 +308,10 @@ def test_eigendecompositions_per_call(count_eigendecompositions):
     small = build_pm_realization(random_pm_params(3, 2, rng))
     # one spectrum of A serves sample placement and the guards of G and G~
     assert count_eigendecompositions(lambda: check_pr_frequency(big)) == 1
-    # poles and the poles of the inverse realization (the zeros)
+    # the poles of the same A come from the memo; the zeros cost one eigvals
+    assert count_eigendecompositions(lambda: spectrum_report(big)) == 1
+    # cold: the poles and the poles of the inverse realization (the zeros)
+    statespace._decompose.cache_clear()
     assert count_eigendecompositions(lambda: spectrum_report(big)) == 2
     # one eigensystem serves the frequency check and the F solve; the rebuild
     # is verified through Sigma, without one of its own
@@ -999,17 +1002,20 @@ def test_zero_pole_mirror_on_reference_model():
     assert not spectrum_report(skewed).mirror_symmetric
 
 
-def test_overflowing_evaluation_is_not_pr():
-    """G~ J G overflows to NaN for this PR system with B and C scaled by 1e100;
-    a NaN residual must fail the gate rather than drop out of the maximum."""
+def test_overflowing_evaluation_is_inconclusive():
+    """G~ J G overflows to NaN for this PR system with B and C scaled by 1e100,
+    without a warning.  The NaN fails check_jj_unitary, and leaves the
+    frequency verdict inconclusive, with no defect reported."""
     ss = build_pm_realization(random_pm_params(2, 1, np.random.default_rng(1)))
     huge = StateSpace(ss.A, 1e100 * ss.B, 1e100 * ss.C, ss.D)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         jj = check_jj_unitary(huge)
         report = check_pr_frequency(huge)
     assert np.isnan(jj.max_residual) and not jj.passed
-    assert report.verdict == "not-PR"
+    assert report.verdict == "inconclusive"
+    assert report.failure_reason.startswith("frequency-domain check inconclusive")
+    assert report.jj_unitarity_max_residual is None and report.sample_points == []
 
 
 def test_nan_residuals_fail_every_verdict_gate():

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oqho import statespace
 from oqho.errors import DimensionError, NearPoleError, SingularMatrixError
-from oqho.forms import build_pm_realization
+from oqho.forms import build_ac_realization, build_pm_realization, eval_ac_tf
 from oqho.sampling import random_orthogonal, random_pm_params
 from oqho.statespace import (
     RationalEntry,
@@ -27,7 +28,11 @@ from oqho.statespace import (
     spectrum_report,
     transmission_zeros,
 )
-from oqho.worked_example import example_rational_entries, example_state_space
+from oqho.worked_example import (
+    example_ac_params,
+    example_rational_entries,
+    example_state_space,
+)
 from test_realizability import time_scaled
 
 seeds = st.integers(0, 10**6)
@@ -474,6 +479,13 @@ def test_match_multisets_equals_list_reference():
         got = match_multisets(left, right, tol)
         assert got[0] == want[0]
         assert got[1] == want[1]
+    # empty inputs, and rows whose nearest values collide: both rows nearest
+    # the first right value, one nearest value shared by three rows, a tie
+    for left, right, tol in [([], [], 0.0), ([0.0, 0.1], [0.05, 5.0], 0.1),
+                             ([0.0, 0.1], [0.05, 5.0], 10.0), ([1, 1, 1], [1, 2, 3], 2.0),
+                             ([1, 1, 1], [1, 2, 3], 1.5), ([0, 2], [1, 3], 1.0),
+                             ([0, 1j, 2], [1, 1 + 1j, 3j], 2.5)]:
+        assert match_multisets(left, right, tol) == reference_match_multisets(left, right, tol)
 
 
 def test_spectral_genericity_equals_pairwise_reference():
@@ -516,3 +528,79 @@ def test_require_square_channels_refuses_zero_channels():
     no_channels = StateSpace(-np.eye(2), np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((0, 0)))
     with pytest.raises(DimensionError, match="at least one channel pair"):
         no_channels.require_square_channels()
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """The list that gains one entry per np.linalg.eig call."""
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(None) or eig(a))
+    return calls
+
+
+def test_eigensystem_memo_decomposes_a_changed_matrix_afresh(eig_calls):
+    a = np.array([[0.0, 1.0], [-2.0, -0.5]])
+    first = statespace._eigensystem(a)
+    assert statespace._eigensystem(a.copy()) is first  # the same bytes
+    a[0, 1] = 3.0
+    assert not np.array_equal(statespace._eigensystem(a)[0], first[0])
+    assert len(eig_calls) == 2
+
+
+def test_eigensystem_memo_tells_signed_zeros_apart(eig_calls):
+    a = np.array([[0.0, 1.0], [-1.0, -0.5]])
+    b = a.copy()
+    b[0, 0] = -0.0
+    assert np.array_equal(a, b)
+    assert statespace._eigensystem(a) is not statespace._eigensystem(b)
+    assert len(eig_calls) == 2
+
+
+def test_eigensystem_memo_keeps_the_last_two(eig_calls):
+    mats = [np.diag([-1.0 - k, 1.0]) for k in range(3)]
+    for m in mats:
+        statespace._eigensystem(m)
+    statespace._eigensystem(mats[2])
+    statespace._eigensystem(mats[1])
+    assert len(eig_calls) == 3
+    statespace._eigensystem(mats[0])  # evicted by the third
+    assert len(eig_calls) == 4
+
+
+def test_eigensystem_memo_is_keyed_by_dtype(eig_calls):
+    """A complex64 matrix and its float64 view share shape and bytes, not results;
+    eval_ac_tf decomposes its complex F once."""
+    c = (np.array([[1.0, 2.0], [0.5, -1.0]]) + 0.5j * np.eye(2)).astype(np.complex64)
+    r = c.view(np.float64)
+    assert r.shape == c.shape and r.tobytes() == c.tobytes()
+    for m in (c, r):
+        lam, v, _ = statespace._eigensystem(m)
+        want_lam, want_v = np.linalg.eig(m)
+        assert lam.dtype == want_lam.dtype
+        assert np.array_equal(lam, want_lam) and np.array_equal(v, want_v)
+    css = build_ac_realization(example_ac_params())
+    eig_calls.clear()
+    values = [eval_ac_tf(css, s) for s in (0.3 + 1j, -0.7j, 2.0)]
+    assert len(eig_calls) == 1
+    assert np.array_equal(values[0], eval_ac_tf(css, 0.3 + 1j))
+
+
+def test_memo_results_are_read_only():
+    ss = example_state_space()
+    for x in statespace._eigensystem(ss.A):
+        assert not x.flags.writeable
+    p = poles(ss)
+    p[:] = 0.0
+    assert not np.array_equal(statespace._eigensystem(ss.A)[0], p)
+    assert np.array_equal(poles(ss), statespace._eigensystem(ss.A)[0])
+
+
+def test_alternating_evaluations_decompose_each_system_once(eig_calls):
+    rng = np.random.default_rng(5)
+    ref = build_pm_realization(random_pm_params(3, 1, rng))
+    got = build_pm_realization(random_pm_params(3, 1, rng))
+    for s in np.linspace(0.5, 4.0, 8) * (1 + 1j):
+        eval_tf(ref, s)
+        eval_tf(got, s)
+    assert len(eig_calls) == 2

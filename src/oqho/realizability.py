@@ -12,9 +12,10 @@ points away from the poles.  One eigendecomposition A = V L V^{-1} places the
 points, guards them, and gives G and G~ at every one of them in modal form
 (see ``statespace.evaluate``); the first pass of the F solve in synthesis, and
 a spectrum report of the same A, take it from the memo of
-``statespace._eigensystem`` rather than decompose A again.  A defect that is
-not finite in double precision leaves the check inconclusive.  The
-time-domain check verifies the equivalent
+``statespace._eigensystem`` rather than decompose A again.  With no defect to
+decide on (no sample point, or a defect that is not finite in double
+precision) D decides alone: not-PR when it is not orthogonal, otherwise
+inconclusive.  The time-domain check verifies the equivalent
 parameter-level identities against a given commutation matrix Theta (James,
 Nurdin and Petersen, IEEE TAC 53(8), 2008), each residual relative:
 
@@ -27,16 +28,19 @@ Nurdin and Petersen, IEEE TAC 53(8), 2008), each residual relative:
 Synthesis recovers oscillator parameters from a minimal realizable system: a
 unique skew similarity F links the inverse realization to the adjoint of the
 inverse realization; its inverse is a commutation matrix in disguise, and a
-square-root change of coordinates moves it onto any requested Theta.  F
+square-root change of coordinates moves it onto any requested Theta.  By the
+state-space isomorphism theorem such an F exists exactly when G~ J G = J, so
+F is a certificate of realizability: synthesis decides by it, with no sample
+point, and runs the frequency check only to explain a refusal.  F
 solves A^T F + F A = C^T J C, computed in the eigen-coordinates of A, O(n^3)
 (the idea of Bartels and Stewart, CACM 15(9), 1972).  Pole pairs with
 l_i + l_j = 0, such as the reference model's, are pinned by the coupling
 equation F B D^{-1} = C^T J; a defective eigenbasis is solved once more on
-the same equation under state feedback.  Every candidate must pass the
-time-domain conditions at Theta = F^{-1}.  The synthesized realization
-is verified by mapping it back through its change of coordinates Sigma onto
-the input realization: a state-space similarity has the same transfer
-function at every s (Zhou, Doyle and Glover, Robust and Optimal Control,
+the same equation under state feedback.  Every candidate must be finite and
+pass the time-domain conditions at Theta = F^{-1}.  The synthesized
+realization is verified by mapping it back through its change of coordinates
+Sigma onto the input realization: a state-space similarity has the same
+transfer function at every s (Zhou, Doyle and Glover, Robust and Optimal Control,
 1996, ch. 3), so no second set of sample points is drawn.
 """
 
@@ -256,9 +260,9 @@ def check_pr_frequency(ss: StateSpace, tol: float = VERDICT_TOLERANCE,
                        num_samples: int = 20, seed: int = 42) -> PrReport:
     """Frequency-domain realizability verdict for a square even-channel system.
 
-    The verdict is "inconclusive", with the D residuals reported, when the
-    sample points cannot be placed, or when the sampled defect is not finite
-    and D is orthogonal.
+    With no defect to decide on, because the sample points cannot be placed
+    or the sampled defect is not finite, D decides alone: "not-PR" when it is
+    not orthogonal, otherwise "inconclusive", with the D residuals reported.
     """
     ss.require_square_channels()
     conditions = {"d_orthogonality": orthogonality_residual(ss.D),
@@ -276,13 +280,12 @@ def check_pr_frequency(ss: StateSpace, tol: float = VERDICT_TOLERANCE,
             # D symplectic is reported, not gated: (J,J)-unitarity implies it
             return _report("frequency", conditions, ("d_orthogonality", "jj_unitarity"),
                            tol, jj)
-        report = _report("frequency", conditions, ("d_orthogonality",), tol)
-        if not report.is_pr:  # a D that is not orthogonal decides without the defect
-            return report
         reason = ("frequency-domain check inconclusive: the sampled (J,J) defect "
                   f"is {jj.max_residual} in double precision")
-    return replace(_report("frequency", conditions, (), tol),
-                   verdict="inconclusive", failure_reason=reason)
+    report = _report("frequency", conditions, ("d_orthogonality",), tol)
+    if not report.is_pr:  # a D that is not orthogonal decides without the defect
+        return report
+    return replace(report, verdict="inconclusive", failure_reason=reason)
 
 
 def check_pr_time_domain(ss: StateSpace, theta,
@@ -356,6 +359,8 @@ def _lyapunov_f(spectrum: tuple, q: np.ndarray, g: np.ndarray, h: np.ndarray) ->
     return (w.T @ y @ w).real
 
 
+# values too large for double precision end in a refusal, without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_f(ss: StateSpace, tol: float):
     """Solve the similarity equations for the skew certificate F.
 
@@ -385,7 +390,12 @@ def _solve_f(ss: StateSpace, tol: float):
     j = j_matrix(channels)
 
     def gate(f_raw):
-        """(F, F^{-1}, residuals) of an accepted solution; raises otherwise."""
+        """(F, F^{-1}, residuals) of an accepted solution; raises otherwise,
+        LinAlgError for a candidate that is not finite, before any SVD: the
+        SVD of a matrix with an inf may never return."""
+        if not np.isfinite(f_raw).all():
+            raise np.linalg.LinAlgError(
+                "the similarity matrix F is not finite in double precision")
         asym = _relative(f_raw + f_raw.T, np.linalg.norm(f_raw))
         f = 0.5 * (f_raw - f_raw.T)
         _require_nonsingular(_min_singular_ratio(f), "similarity matrix F")
@@ -431,15 +441,32 @@ def compute_f(ss: StateSpace) -> np.ndarray:
     return f
 
 
+def _require_pr(ss: StateSpace, tol: float, num_samples: int, seed: int) -> PrReport:
+    """The frequency check's report when it reads PR; otherwise
+    NotRealizableError carries it."""
+    freq = check_pr_frequency(ss, tol, num_samples, seed)
+    if not freq.is_pr:
+        raise NotRealizableError(
+            f"system is not physically realizable: {freq.failure_reason}",
+            report=freq,
+        )
+    return freq
+
+
 def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE,
                num_samples: int = 20, seed: int = 42) -> SynthesisResult:
     """Recover oscillator parameters realizing the given transfer function.
 
     The input is reduced to a minimal realization first when needed (the
-    original state dimension is recorded in ``reduced_from``).  The system
-    must pass the frequency-domain check; otherwise NotRealizableError carries
-    the failing report.  ``theta_target`` selects the commutation matrix of
-    the synthesized parameters (default: the canonical J of matching size).
+    original state dimension is recorded in ``reduced_from``).  The
+    similarity certificate F decides: it must pass the time-domain
+    conditions at Theta = F^{-1} within ``tol``, and no sample point is
+    drawn for it.  When the F solve refuses, the frequency-domain check at
+    ``tol``, ``num_samples`` and ``seed`` explains why: unless it reads PR,
+    NotRealizableError carries its report; if it does, the solve's error
+    stands.  A static system, which has no F, is decided by that check.
+    ``theta_target`` selects the commutation matrix of the synthesized
+    parameters (default: the canonical J of matching size).
 
     The rebuilt realization is verified internally.  It is a similarity of
     the (minimal) input under ``Sigma``, so mapped back through ``Sigma`` its
@@ -451,13 +478,16 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
     """
     work = minimal_realization(ss)
     reduced_from = None if work is ss else ss.state_dim
-    freq = check_pr_frequency(work, tol, num_samples, seed)
-    if freq.verdict != "PR":
-        raise NotRealizableError(
-            f"system is not physically realizable: {freq.failure_reason}",
-            report=freq,
-        )
     n2 = work.state_dim
+    if n2:
+        try:
+            f, f_inv, residuals = _solve_f(work, tol)
+        except (np.linalg.LinAlgError, SingularMatrixError, NotRealizableError,
+                DimensionError):
+            _require_pr(work, tol, num_samples, seed)  # the check explains why
+            raise
+    else:  # no states, no certificate: the check decides
+        _require_pr(work, tol, num_samples, seed)
     channels = work.num_outputs
     if theta_target is None:
         theta_target = j_matrix(n2)
@@ -476,8 +506,6 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
         return SynthesisResult(F=empty, Rhat=empty, Sigma=empty, params=params,
                                equation_residuals=residuals, reduced_from=reduced_from)
 
-    # the memo of _eigensystem hands the check's decomposition of A to the F solve
-    f, f_inv, residuals = _solve_f(work, tol)
     j = j_matrix(channels)
     rhat_raw = 0.5 * f @ (work.A @ f_inv + 0.5 * work.B @ j @ work.B.T) @ f
     rhat_sym = _relative(rhat_raw - rhat_raw.T, np.linalg.norm(rhat_raw))

@@ -10,7 +10,7 @@ CLI command.
 import numpy as np
 
 from .forms import AcParams, PmParams, build_pm_realization, pm_to_ac
-from .realizability import VERDICT_TOLERANCE, check_pr_frequency, synthesize
+from .realizability import VERDICT_TOLERANCE, _require_pr, synthesize
 from .statespace import (
     RationalEntry,
     StateSpace,
@@ -101,7 +101,8 @@ def run_worked_example(tol: float = VERDICT_TOLERANCE, num_samples: int = 20,
 
     Returns (lines, payload): human-readable summary lines and a JSON-ready
     payload holding the check report, spectrum, synthesis output and the
-    deviations of every derived quantity from its known value.
+    deviations of every derived quantity from its known value.  When the
+    check does not read PR, NotRealizableError carries its report.
     """
     from . import jsonio
 
@@ -110,7 +111,8 @@ def run_worked_example(tol: float = VERDICT_TOLERANCE, num_samples: int = 20,
     pm = example_pm_params()
     ac = example_ac_params()
 
-    report = check_pr_frequency(ss, tol=tol, num_samples=num_samples, seed=seed)
+    # refused as synthesize refuses, by this check's report
+    report = _require_pr(ss, tol, num_samples, seed)
     spectrum = spectrum_report(ss)
     syn = synthesize(ss, theta_target=j_matrix(4), tol=tol,
                      num_samples=num_samples, seed=seed)

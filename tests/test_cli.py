@@ -400,9 +400,10 @@ def test_synthesize_notes_a_reduced_input(tmp_path, capsys):
     assert err == "note: input reduced from 6 to 4 states before synthesis\n"
 
 
-def test_synthesize_draws_sample_points_once(system_file, capsys, monkeypatch):
-    """Only the frequency check places sample points: the rebuild is verified
-    through the similarity Sigma, not at points of its own."""
+def test_synthesize_draws_sample_points_once(system_file, tmp_path, capsys, monkeypatch):
+    """The similarity certificate decides a synthesis, and the rebuild is
+    verified through Sigma: an accepted input draws no sample point.  Only
+    the frequency check that explains a refusal places them, once."""
     draws = []
     draw = realizability.draw_sample_points
 
@@ -412,8 +413,14 @@ def test_synthesize_draws_sample_points_once(system_file, capsys, monkeypatch):
 
     monkeypatch.setattr(realizability, "draw_sample_points", counted)
     code, _, _ = run(capsys, "synthesize", "--input", system_file)
-    assert code == 0
-    assert len(draws) == 1
+    assert (code, len(draws)) == (0, 0)
+    ss = example_state_space()
+    bump = np.random.default_rng(3).standard_normal(ss.A.shape)
+    drifted = write(tmp_path, "drifted.json", jsonio.encode_state_space(
+        StateSpace(ss.A + 0.3 * (bump + bump.T), ss.B, ss.C, ss.D)))
+    code, out, _ = run(capsys, "synthesize", "--input", drifted)
+    assert (code, len(draws)) == (1, 1)
+    assert json.loads(out)["verdict"] == "not-PR"
 
 
 @pytest.mark.parametrize("key, literal", [

@@ -313,8 +313,8 @@ def test_eigendecompositions_per_call(count_eigendecompositions):
     # cold: the poles and the poles of the inverse realization (the zeros)
     statespace._decompose.cache_clear()
     assert count_eigendecompositions(lambda: spectrum_report(big)) == 2
-    # one eigensystem serves the frequency check and the F solve; the rebuild
-    # is verified through Sigma, without one of its own
+    # the F solve decides, with no sampled check; the rebuild is verified
+    # through Sigma, without an eigensystem of its own
     assert count_eigendecompositions(lambda: synthesize(small)) == 1
     # degenerate pole pairs are pinned inside the one F solve
     assert count_eigendecompositions(lambda: synthesize(example_state_space())) == 1
@@ -506,6 +506,25 @@ def test_frequency_check_inconclusive_on_placement_failure(monkeypatch):
     assert report.verdict == "inconclusive"
     assert report.jj_unitarity_max_residual is None
     assert "forced" in report.failure_reason
+
+
+@pytest.mark.parametrize("placement", ["no points", "failed"])
+def test_frequency_check_without_evidence_is_decided_by_a_bad_feedthrough(
+        placement, monkeypatch):
+    """With no defect to decide on, a D that is not orthogonal decides, as it
+    does when the sampled defect is not finite."""
+    def refuse(*args, **kwargs):
+        raise SamplePlacementError("forced for the test")
+
+    monkeypatch.setattr(realizability, "draw_sample_points", refuse)
+    ss = example_state_space()
+    report = check_pr_frequency(StateSpace(ss.A, ss.B, ss.C, 2.0 * ss.D),
+                                num_samples=0 if placement == "no points" else 20)
+    assert report.verdict == "not-PR"
+    assert report.failure_reason == ("frequency-domain conditions violated: "
+                                     "d_orthogonality residual 6.000e+00; "
+                                     "dominant: d_orthogonality")
+    assert report.jj_unitarity_max_residual is None
 
 
 class TestTimeDomainCheck:
@@ -832,6 +851,29 @@ def test_compute_f_with_zero_input_matrix_reraises_the_first_pass():
             compute_f(ss)
 
 
+def test_f_gate_refuses_a_non_finite_candidate_before_any_svd(monkeypatch):
+    svd = np.linalg.svd
+
+    def finite_svd(x, *args, **kwargs):
+        assert np.isfinite(x).all(), "an SVD of a non-finite matrix may never return"
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(realizability, "_lyapunov_f", lambda *args: np.full((4, 4), np.inf))
+    monkeypatch.setattr(np.linalg, "svd", finite_svd)
+    with pytest.raises(np.linalg.LinAlgError, match="F is not finite in double precision"):
+        compute_f(example_state_space())
+
+
+def test_synthesize_refuses_an_overflowing_state_matrix_without_a_warning():
+    """A scaled by 1e150 overflows the F solve: a refusal, not a warning."""
+    for seed in range(8):
+        _, ss = built_system(seed, 1 + seed % 4, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotRealizableError):
+                synthesize(StateSpace(1e150 * ss.A, ss.B, ss.C, ss.D))
+
+
 def test_compute_f_rejects_static_and_unrealizable():
     with pytest.raises(ValueError):
         compute_f(StateSpace.static(np.eye(2)))
@@ -905,6 +947,22 @@ class TestSynthesize:
         assert exc.value.report is not None
         assert exc.value.report.verdict == "not-PR"
 
+    @pytest.mark.parametrize("drift", [0.3, 1e-6])
+    def test_refusal_carries_the_frequency_report(self, drift):
+        """The certificate refuses a drifted system; the frequency check at
+        the caller's tolerance, sample count and seed explains the refusal."""
+        _, ss = built_system(21, 3, 1)
+        bump = np.random.default_rng(22).standard_normal(ss.A.shape)
+        bump += bump.T
+        scale = drift * np.linalg.norm(ss.A) / np.linalg.norm(bump)
+        drifted = StateSpace(ss.A + scale * bump, ss.B, ss.C, ss.D)
+        with pytest.raises(NotRealizableError) as exc:
+            synthesize(drifted, num_samples=7, seed=5)
+        report = check_pr_frequency(drifted, VERDICT_TOLERANCE, 7, 5)
+        assert report.verdict == "not-PR"
+        assert exc.value.report == report
+        assert str(exc.value) == f"system is not physically realizable: {report.failure_reason}"
+
     def test_theta_target_shape_mismatch(self):
         with pytest.raises(DimensionError):
             synthesize(example_state_space(), theta_target=j_matrix(6))
@@ -967,13 +1025,24 @@ def test_synthesize_non_generic_spectra_at_scale(kind, size, refuse_large_kron):
     if kind == "non-generic":
         ss = non_generic_system(size // 2 - 2, 2, rng)
     else:
-        # at 64 states a random symplectic mix leaves sampled (J,J) residuals
-        # of 1e-8 to 2e-7, and the frequency check rejects the system before
-        # F is solved; an orthogonal mix keeps the realization well scaled
+        # an orthogonal mix keeps the realization well scaled; a random
+        # symplectic mix is the case of the test below
         modes = size // 2
         mix = random_symplectic if size < 64 else random_orthogonal
         ss = defective_system([0.5] * (modes - modes // 2) + [0.7] * (modes // 2), rng, mix)
     assert ss.state_dim == size
+    result = synthesize(ss)
+    assert result.reduced_from is None
+    assert result.equation_residuals["rebuild_max_relative_deviation"] < 1e-7
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_synthesize_accepts_jordan_systems_the_sampled_check_rejects(seed):
+    """32 isotropically coupled Jordan modes under a random symplectic mix:
+    near the defective poles the sampled (J,J) defect exceeds the tolerance,
+    while the similarity certificate, which decides a synthesis, holds."""
+    ss = defective_system(np.linspace(0.5, 0.7, 32), np.random.default_rng(seed))
+    assert check_pr_frequency(ss).verdict == "not-PR"
     result = synthesize(ss)
     assert result.reduced_from is None
     assert result.equation_residuals["rebuild_max_relative_deviation"] < 1e-7

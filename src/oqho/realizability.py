@@ -31,7 +31,12 @@ inverse realization; its inverse is a commutation matrix in disguise, and a
 square-root change of coordinates moves it onto any requested Theta.  By the
 state-space isomorphism theorem such an F exists exactly when G~ J G = J, so
 F is a certificate of realizability: synthesis decides by it, with no sample
-point, and runs the frequency check only to explain a refusal.  F
+point, and runs the frequency check only to explain a refusal.  F needs no
+minimal input to accept: a spectrally generic input is certified as given
+and reduced only on a refusal, since in a physical realization controllable
+and observable coincide (Gough and Zhang, Automatica 59, 2015), so its
+hidden poles come in mirrored pairs; an input with a mirrored pair is
+reduced first, as the raw solve may accept a hidden closed pair.  F
 solves A^T F + F A = C^T J C, computed in the eigen-coordinates of A, O(n^3)
 (the idea of Bartels and Stewart, CACM 15(9), 1972).  Pole pairs with
 l_i + l_j = 0, such as the reference model's, are pinned by the coupling
@@ -428,9 +433,13 @@ def _solve_f(ss: StateSpace, tol: float):
 
 
 def compute_f(ss: StateSpace) -> np.ndarray:
-    """Unique skew similarity certificate of a minimal realizable system.
+    """Skew similarity certificate of a realizable system, unique when the
+    system is minimal.
 
-    Raises ValueError for static systems, NotRealizableError when D is not
+    A non-minimal input with a hidden mirrored pole pair may still return an
+    F: the pinned entries of the hidden pair are fixed by rounding-level
+    coupling rows, and the least-squares pin solves them as if they had full
+    rank.  Raises ValueError for static systems, NotRealizableError when D is not
     orthosymplectic or no solution of the similarity equations meets the
     time-domain conditions at Theta = F^{-1} within VERDICT_TOLERANCE,
     SingularMatrixError when D or the solution is singular to working
@@ -457,9 +466,15 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
                num_samples: int = 20, seed: int = 42) -> SynthesisResult:
     """Recover oscillator parameters realizing the given transfer function.
 
-    The input is reduced to a minimal realization first when needed (the
-    original state dimension is recorded in ``reduced_from``).  The
-    similarity certificate F decides: it must pass the time-domain
+    A spectrally generic input (no mirrored pole pair) is certified as
+    given; it is reduced to a minimal realization only when it has a
+    mirrored pair or F refuses it (the original state dimension is then
+    recorded in ``reduced_from``).  An accepted F makes the input a physical
+    realization, whose hidden part is closed, as controllable and observable
+    coincide there (Gough and Zhang, Automatica 59, 2015): its hidden poles
+    come in mirrored pairs, so a generic input that F accepts is minimal.  A
+    refused input that the reduction leaves as it is is not solved again.
+    The similarity certificate F decides: it must pass the time-domain
     conditions at Theta = F^{-1} within ``tol``, and no sample point is
     drawn for it.  When the F solve refuses, the frequency-domain check at
     ``tol``, ``num_samples`` and ``seed`` explains why: unless it reads PR,
@@ -476,18 +491,29 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
     ``theta_target`` hold identically for every realization the builder
     makes from valid parameters, so they are not checked again.
     """
-    work = minimal_realization(ss)
+    refusals = (np.linalg.LinAlgError, SingularMatrixError, NotRealizableError,
+                DimensionError)
+    work, certificate = ss, None
+    if ss.state_dim and not _mirror_pairs(_eigensystem(ss.A)[0])[1].any():
+        try:  # an accepted F certifies the input as given
+            certificate = _solve_f(ss, tol)
+        except refusals:
+            work = minimal_realization(ss)
+            if work is ss:  # a second solve of the same matrices refuses again
+                _require_pr(ss, tol, num_samples, seed)  # the check explains why
+                raise
+    else:
+        work = minimal_realization(ss)
     reduced_from = None if work is ss else ss.state_dim
     n2 = work.state_dim
-    if n2:
+    if not n2:  # no states, no certificate: the check decides
+        _require_pr(work, tol, num_samples, seed)
+    elif certificate is None:
         try:
-            f, f_inv, residuals = _solve_f(work, tol)
-        except (np.linalg.LinAlgError, SingularMatrixError, NotRealizableError,
-                DimensionError):
+            certificate = _solve_f(work, tol)
+        except refusals:
             _require_pr(work, tol, num_samples, seed)  # the check explains why
             raise
-    else:  # no states, no certificate: the check decides
-        _require_pr(work, tol, num_samples, seed)
     channels = work.num_outputs
     if theta_target is None:
         theta_target = j_matrix(n2)
@@ -506,6 +532,7 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
         return SynthesisResult(F=empty, Rhat=empty, Sigma=empty, params=params,
                                equation_residuals=residuals, reduced_from=reduced_from)
 
+    f, f_inv, residuals = certificate
     j = j_matrix(channels)
     rhat_raw = 0.5 * f @ (work.A @ f_inv + 0.5 * work.B @ j @ work.B.T) @ f
     rhat_sym = _relative(rhat_raw - rhat_raw.T, np.linalg.norm(rhat_raw))

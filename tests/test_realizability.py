@@ -417,7 +417,26 @@ def test_time_domain_check_refuses_a_drift_at_every_theta_scale(scale):
         assert report.condition_residuals["hamiltonian_reconstruction"] > 1e-7
 
 
-def test_padded_input_is_reduced_by_one_staircase_pair(monkeypatch):
+def counted_calls(monkeypatch, module, name):
+    """The list that gets one entry per call of ``module.name`` from now on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture
+def staircase_calls(monkeypatch):
+    """One entry per orthogonal staircase (two per minimal_realization)."""
+    return counted_calls(monkeypatch, statespace, "_reachable_basis")
+
+
+def test_padded_input_is_reduced_by_one_staircase_pair(staircase_calls):
     """synthesize reduces through minimal_realization alone: the two staircases
     of the reduction, with no separate minimality test before them."""
     core = example_state_space()
@@ -427,16 +446,62 @@ def test_padded_input_is_reduced_by_one_staircase_pair(monkeypatch):
         np.hstack([core.C, np.zeros((4, 2))]),
         core.D,
     )
-    calls = []
-    basis = statespace._reachable_basis
-
-    def counted(*args):
-        calls.append(None)
-        return basis(*args)
-
-    monkeypatch.setattr(statespace, "_reachable_basis", counted)
     assert synthesize(padded).reduced_from == 6
-    assert len(calls) == 2
+    assert len(staircase_calls) == 2
+
+
+@pytest.mark.parametrize("modes", [5, 32])
+def test_accepted_input_is_certified_without_a_staircase(modes, staircase_calls):
+    """A spectrally generic input that the certificate accepts is minimal, so
+    it is synthesized as given."""
+    _, ss = built_system(4100 + modes, modes, 1 + modes % 2)
+    result = synthesize(ss)
+    assert result.reduced_from is None
+    assert result.equation_residuals["rebuild_max_relative_deviation"] < 1e-7
+    assert staircase_calls == []
+
+
+def hidden_pair_system(core, block, rng):
+    """``core`` plus two states that neither B nor C reaches, with the 2x2
+    state matrix ``block``, mixed by a random orthogonal similarity."""
+    n, p, q = core.state_dim, core.num_inputs, core.num_outputs
+    ss = StateSpace(np.block([[core.A, np.zeros((n, 2))], [np.zeros((2, n)), block]]),
+                    np.vstack([core.B, np.zeros((2, p))]),
+                    np.hstack([core.C, np.zeros((q, 2))]), core.D)
+    return similarity_transform(ss, random_orthogonal(n + 2, rng))
+
+
+@pytest.mark.parametrize("pair", ["undamped", "real"])
+@pytest.mark.parametrize("modes", [1, 3, 8, 32])
+def test_hidden_mirrored_pair_is_reduced(modes, pair):
+    """A hidden closed part, poles +-i w or +-s, is a mirrored pair: the
+    raw F solve may accept such an input, so synthesis reduces it first."""
+    rng = np.random.default_rng(4200 + 10 * modes + (pair == "real"))
+    core = build_pm_realization(random_pm_params(modes, 1 + modes % 2, rng))
+    if pair == "undamped":
+        w = rng.uniform(0.5, 3.0)
+        block = np.array([[0.0, w], [-w, 0.0]])
+    else:
+        block = np.diag([1.0, -1.0]) * rng.uniform(0.5, 2.0)
+    ss = hidden_pair_system(core, block, rng)
+    result = synthesize(ss)
+    assert result.reduced_from == core.state_dim + 2
+    assert result.params.Theta.shape == core.A.shape
+    assert result.equation_residuals["rebuild_max_relative_deviation"] < 1e-7
+
+
+def test_refused_minimal_input_is_solved_and_reduced_once(monkeypatch, staircase_calls):
+    """A refused generic input that the staircases leave as it is goes to the
+    sampled check at once: one F solve, one staircase pair."""
+    rng = np.random.default_rng(4300)
+    drifted = drifted_system(build_pm_realization(random_pm_params(4, 1, rng)), rng)
+    assert spectrum_report(drifted).spectrally_generic
+    solves = counted_calls(monkeypatch, realizability, "_solve_f")
+    with pytest.raises(NotRealizableError) as exc:
+        synthesize(drifted)
+    assert exc.value.report.verdict == "not-PR"
+    assert len(solves) == 1
+    assert len(staircase_calls) == 2
 
 
 def test_check_jj_unitary_on_reference_model():

@@ -517,7 +517,8 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
     channels = work.num_outputs
     if theta_target is None:
         theta_target = j_matrix(n2)
-    theta_target = np.asarray(theta_target, dtype=float)
+    # a copy, so that the parameters do not share the caller's array
+    theta_target = np.array(theta_target, dtype=float)
     if theta_target.shape != (n2, n2):
         raise DimensionError(
             f"theta_target must be {n2}x{n2} to match the minimal state, "

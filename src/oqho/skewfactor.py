@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .structured import (
+    _array_memo,
     _min_singular_ratio,
     _require_nonsingular,
     _require_structure,
@@ -47,7 +48,21 @@ def murnaghan(theta) -> tuple[np.ndarray, np.ndarray]:
     Returns (O, deltas) with Theta = O blkdiag([[0, d_i], [-d_i, 0]]) O^T,
     deltas sorted descending.  Raises StructureError for non-skew input,
     DimensionError for odd dimension, SingularMatrixError when the smallest
-    delta vanishes relative to the largest.
+    delta vanishes relative to the largest.  The arrays are writable copies
+    of the skew-form memo's (see ``_skew_form``).
+    """
+    o, deltas = _skew_form(theta)
+    return o.copy(), deltas.copy()
+
+
+def _skew_form(theta) -> tuple:
+    """Read-only (O, deltas) of :func:`murnaghan`, through a two-entry memo.
+
+    The raw input is checked before the lookup, so a non-skew matrix is
+    refused on every call.  The memo is keyed on the symmetrized matrix; that
+    of an exactly skew input is the input itself, bit for bit, so Theta and
+    the ``PmParams.symmetrized`` copy of it share one entry.  An entry of n
+    states keeps the n^2 * 8 key bytes and O: about 16 MB at 1024 states.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[0] != theta.shape[1] or theta.shape[0] % 2:
@@ -56,7 +71,12 @@ def murnaghan(theta) -> tuple[np.ndarray, np.ndarray]:
         )
     _require_structure("skew matrix", {"skew_symmetry": skew_symmetry_residual(theta)},
                        {"skew_symmetry": theta})
-    theta = 0.5 * (theta - theta.T)
+    return _canonical_form(0.5 * (theta - theta.T))
+
+
+@_array_memo
+def _canonical_form(theta: np.ndarray) -> tuple:
+    """(O, deltas) of the exactly skew, even-dimensional ``theta``."""
     n = theta.shape[0] // 2
     evals, evecs = np.linalg.eigh(1j * theta)
     # eigenvalues come in +/- pairs; take the positive half, largest first
@@ -82,18 +102,23 @@ def cholesky_like(theta) -> SkewFactorization:
     Sigma = O diag(sqrt d_1, sqrt d_1, ..., sqrt d_n, sqrt d_n) P where P, an
     index array on the columns, permutes the block form of J into interleaved
     2x2 blocks.  Sigma is unique only up to a symplectic right factor; this
-    construction is deterministic for identical input.
+    construction is deterministic for identical input.  The canonical form
+    comes from the skew-form memo (see ``_skew_form``), so a Theta factored
+    again takes no second ``eigh``; every array returned is the caller's own.
     """
-    o, deltas = murnaghan(theta)
+    o, deltas = _skew_form(theta)
     columns = np.arange(2 * deltas.size).reshape(-1, 2).T.ravel()
     sigma = o[:, columns] * np.tile(np.sqrt(deltas), 2)
-    return SkewFactorization(Sigma=sigma, O=o, deltas=deltas)
+    return SkewFactorization(Sigma=sigma, O=o.copy(), deltas=deltas.copy())
 
 
 def relate_ccr(theta_1, theta_2) -> np.ndarray:
     """State transformation S with theta_1 = S theta_2 S^T.
 
-    Built from the two square-root factors: S = Sigma_1 Sigma_2^{-1}.
+    Built from the two square-root factors: S = Sigma_1 Sigma_2^{-1}.  Both
+    factors go through the skew-form memo, so a later :func:`cholesky_like`
+    of theta_2 (``pm_to_ac`` of parameters synthesized onto it) reuses its
+    ``eigh``.
     """
     theta_1 = np.asarray(theta_1, dtype=float)
     theta_2 = np.asarray(theta_2, dtype=float)

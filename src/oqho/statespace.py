@@ -21,13 +21,12 @@ by point comparisons of two realizations.  The transmission zeros are the
 eigenvalues of another matrix and are computed apart, by ``eigvals``.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, NearPoleError
-from .structured import _min_singular_ratio, _require_nonsingular
+from .structured import _array_memo, _min_singular_ratio, _require_nonsingular
 
 __all__ = [
     "StateSpace",
@@ -201,24 +200,21 @@ def _eigensystem(a: np.ndarray) -> tuple:
     """
     if a.shape[0] == 0:
         return np.zeros(0, dtype=complex), np.zeros((0, 0)), np.zeros((0, 0))
-    return _decompose(a.shape, a.dtype, a.tobytes())
+    return _decompose(a)
 
 
-# Keyed on shape, dtype and bytes, so -0.0 and 0.0 differ.  Two entries: a
-# check and the spectrum report of one A, or the two realizations an output
-# check compares point by point.  An entry of n states keeps n^2 * 8 key
-# bytes, V and V^{-1} (2 n^2 * 16): about 80 MB for two entries at 1024 states.
-@functools.lru_cache(maxsize=2)
-def _decompose(shape: tuple, dtype: np.dtype, data: bytes) -> tuple:
-    """``_eigensystem`` of the matrix whose C-order bytes are ``data``."""
-    lam, v = np.linalg.eig(np.frombuffer(data, dtype).reshape(shape))
+# Two entries: a check and the spectrum report of one A, or the two
+# realizations an output check compares point by point.  An entry of n states
+# keeps n^2 * 8 key bytes, V and V^{-1} (2 n^2 * 16): about 80 MB for two
+# entries at 1024 states.
+@_array_memo
+def _decompose(a: np.ndarray) -> tuple:
+    """``_eigensystem`` of the non-empty matrix ``a``."""
+    lam, v = np.linalg.eig(a)
     try:
         w = np.linalg.inv(v)
     except np.linalg.LinAlgError:
         w = None
-    for x in (lam, v, w):
-        if x is not None:
-            x.flags.writeable = False
     return lam, v, w
 
 

@@ -11,6 +11,9 @@ k = 0 the structured matrices are 0x0, so systems without dynamics and
 parameter sets without modes take the same formulas as every other size.
 """
 
+import functools
+import threading
+
 import numpy as np
 
 from .errors import DimensionError, SingularMatrixError, StructureError
@@ -78,6 +81,51 @@ def _require_nonsingular(ratio: float, name: str) -> None:
         )
 
 
+# Every memo of the package, each with a ``cache_clear``: the ``_array_memo``
+# ones and the templates of the structured matrices.
+_MEMOS = []
+
+
+def _array_memo(compute):
+    """Two-entry memo of ``compute(*arrays)``, the one key rule of the package.
+
+    An entry is keyed on the shape, dtype and C-order bytes of each argument
+    array, so -0.0 and 0.0 differ and an array changed in place is computed
+    afresh.  On a miss ``compute`` runs on the caller's arrays, and the arrays
+    of the tuple it returns become read-only, since every hit shares them.
+    The two most recently used entries are kept, each with its key bytes and
+    result.  An exception is raised afresh on every call, never stored.
+    """
+    entries = {}
+    lock = threading.Lock()
+
+    @functools.wraps(compute)
+    def memo(*arrays):
+        key = tuple((a.shape, a.dtype, a.tobytes()) for a in arrays)
+        with lock:
+            result = entries.pop(key, None)
+        if result is None:
+            result = compute(*arrays)
+            for x in result:
+                if isinstance(x, np.ndarray):
+                    x.flags.writeable = False
+        with lock:
+            entries[key] = result
+            while len(entries) > 2:
+                del entries[next(iter(entries))]
+        return result
+
+    memo.cache_clear = entries.clear
+    _MEMOS.append(memo)
+    return memo
+
+
+def _clear_memos() -> None:
+    """Empty every memo, as a fresh process has them."""
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
 def _require_even(r: int, name: str) -> int:
     r = int(r)
     if r < 0 or r % 2:
@@ -93,23 +141,42 @@ def _require_square(mat: np.ndarray, name: str) -> np.ndarray:
 
 
 def j_matrix(r: int) -> np.ndarray:
-    """Canonical symplectic form of even dimension r: [[0, I], [-I, 0]]."""
-    r = _require_even(r, "j_matrix")
+    """Canonical symplectic form of even dimension r: [[0, I], [-I, 0]].
+
+    A fresh, writable copy of a read-only template of the last two sizes.
+    """
+    return _j_template(_require_even(r, "j_matrix")).copy()
+
+
+def bold_j_matrix(r: int) -> np.ndarray:
+    """Signature matrix diag(I, -I) of even dimension r.
+
+    A fresh, writable copy of a read-only template of the last two sizes.
+    """
+    return _bold_j_template(_require_even(r, "bold_j_matrix")).copy()
+
+
+@functools.lru_cache(maxsize=2)
+def _j_template(r: int) -> np.ndarray:
     h = r // 2
     out = np.zeros((r, r))
     out[:h, h:] = np.eye(h)
     out[h:, :h] = -np.eye(h)  # -0.0 off the diagonal, as the Kronecker product has
+    out.flags.writeable = False
     return out
 
 
-def bold_j_matrix(r: int) -> np.ndarray:
-    """Signature matrix diag(I, -I) of even dimension r."""
-    r = _require_even(r, "bold_j_matrix")
+@functools.lru_cache(maxsize=2)
+def _bold_j_template(r: int) -> np.ndarray:
     h = r // 2
     out = np.zeros((r, r))
     out[:h, :h] = np.eye(h)
     out[h:, h:] = -np.eye(h)
+    out.flags.writeable = False
     return out
+
+
+_MEMOS += [_j_template, _bold_j_template]
 
 
 def t_matrix(k: int) -> np.ndarray:
@@ -134,7 +201,13 @@ def doubled_up(x1, x2) -> np.ndarray:
         raise DimensionError(
             f"doubled_up blocks must share a shape, got {x1.shape} and {x2.shape}"
         )
-    return np.block([[x1, x2], [x2.conj(), x1.conj()]])
+    r, c = x1.shape
+    out = np.empty((2 * r, 2 * c), dtype=complex)
+    out[:r, :c] = x1
+    out[:r, c:] = x2
+    np.conjugate(x2, out=out[r:, :c])
+    np.conjugate(x1, out=out[r:, c:])
+    return out
 
 
 def nabla(x1, x2) -> np.ndarray:
@@ -151,7 +224,13 @@ def nabla(x1, x2) -> np.ndarray:
         )
     plus = x1 + x2
     minus = x1 - x2
-    return np.block([[plus.real, -minus.imag], [plus.imag, minus.real]])
+    r, c = x1.shape
+    out = np.empty((2 * r, 2 * c))
+    out[:r, :c] = plus.real
+    np.negative(minus.imag, out=out[:r, c:])
+    out[r:, :c] = plus.imag
+    out[r:, c:] = minus.real
+    return out
 
 
 def extract_bold_blocks(x) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,12 @@
-"""Every test starts with an empty eigensystem memo, so that no test's
-decompositions depend on which tests ran before it."""
+"""Every test starts with every memo empty (the eigensystem, the skew form,
+the parameter validation and the J templates), so that no test's results
+depend on which tests ran before it."""
 
 import pytest
 
-from oqho import statespace
+from oqho import structured
 
 
 @pytest.fixture(autouse=True)
-def cold_eigensystem_memo():
-    statespace._decompose.cache_clear()
+def cold_memos():
+    structured._clear_memos()

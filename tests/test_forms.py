@@ -68,6 +68,32 @@ class TestPmParamsValidation:
         with pytest.raises(DimensionError):
             PmParams(p.D, p.M[:, :2], p.R, p.Theta)
 
+    def test_each_validation_returns_a_fresh_dict(self):
+        p = example_pm_params()
+        first = p.validate()
+        want = dict(first)
+        first["d_orthogonality"] = 1.0
+        second = p.validate()
+        assert second is not first and second == want
+
+    def test_invalid_params_are_refused_on_every_call(self):
+        p = example_pm_params()
+        bad = PmParams(2.0 * p.D, p.M, p.R, p.Theta)
+        refusals = []
+        for params in (bad, p, bad, bad):
+            try:
+                params.validate()
+            except StructureError as exc:
+                refusals.append((str(exc), exc.residuals))
+        assert len(refusals) == 3 and refusals == [refusals[0]] * 3
+
+    def test_params_changed_in_place_are_validated_afresh(self):
+        p = example_pm_params()
+        p.validate()
+        p.Theta[:] = 0.0
+        with pytest.raises(SingularMatrixError):
+            p.validate()
+
     def test_symmetrized_cleans_roundoff(self):
         p = example_pm_params()
         dirty = PmParams(p.D, p.M, p.R + 1e-13 * np.triu(np.ones((4, 4))), p.Theta)

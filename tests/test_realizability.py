@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oqho import cli, jsonio, realizability, statespace
+from oqho import cli, jsonio, realizability, statespace, structured
 from oqho.errors import (
     DimensionError,
     NotRealizableError,
@@ -13,7 +13,7 @@ from oqho.errors import (
     SingularMatrixError,
     StructureError,
 )
-from oqho.forms import PmParams, build_pm_realization
+from oqho.forms import PmParams, build_pm_realization, pm_to_ac
 from oqho.realizability import (
     REBUILD_TOLERANCE,
     VERDICT_TOLERANCE,
@@ -330,7 +330,8 @@ def test_factorizations_per_synthesis(monkeypatch):
     """The n x n factorizations of one 5-mode synthesis.  inv: V, F, Sigma and
     the builder's Theta; svd: the singular rule on F and on Theta (validate);
     eig: A; eigh: F^{-1} and Theta in relate_ccr.  Theta is decomposed only by
-    the steps that use it, and the rebuilt system is not re-checked."""
+    the steps that use it, and the rebuilt system is not re-checked.  A
+    pm_to_ac of the result adds none of them."""
     ss = build_pm_realization(random_pm_params(5, 1, np.random.default_rng(3)))
     calls = dict.fromkeys(("inv", "svd", "eig", "eigh"), 0)
     for name in calls:
@@ -342,6 +343,13 @@ def test_factorizations_per_synthesis(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     synthesize(ss)
+    assert calls == {"inv": 4, "svd": 2, "eig": 1, "eigh": 2}
+    # converting the synthesized parameters reuses the synthesis's validation
+    # of them and its eigh of the target Theta
+    structured._clear_memos()
+    calls.update(dict.fromkeys(calls, 0))
+    theta = random_skew_nonsingular(10, np.random.default_rng(4))
+    pm_to_ac(synthesize(ss, theta).params)
     assert calls == {"inv": 4, "svd": 2, "eig": 1, "eigh": 2}
 
 
@@ -984,6 +992,14 @@ class TestSynthesize:
         result = synthesize(example_state_space(), theta_target=theta)
         assert np.array_equal(result.params.Theta, theta)
         assert result.equation_residuals["rebuild_max_relative_deviation"] < 1e-7
+
+    def test_params_do_not_share_the_callers_theta(self):
+        theta = random_skew_nonsingular(4, np.random.default_rng(44))
+        result = synthesize(example_state_space(), theta_target=theta)
+        kept = result.params.Theta.copy()
+        theta *= 2.0
+        assert not np.shares_memory(result.params.Theta, theta)
+        assert np.array_equal(result.params.Theta, kept)
 
     def test_non_minimal_input_is_reduced(self):
         core = example_state_space()

@@ -210,3 +210,76 @@ def test_relate_ccr_dimension_mismatch():
 
 def test_empty_factorization_reconstructs_exactly():
     assert cholesky_like(np.zeros((0, 0))).reconstruction_residual(np.zeros((0, 0))) == 0.0
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The list that gains one entry per np.linalg.eigh call."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(None) or eigh(a))
+    return calls
+
+
+def test_non_skew_input_is_refused_although_its_skew_part_is_memoized(eigh_calls):
+    theta = np.array([[0.0, 2.0, 0.0, 0.0], [-2.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 3.0], [0.0, 0.0, -3.0, 0.0]])
+    bad = theta.copy()
+    bad[0, 1], bad[1, 0] = 3.0, -1.0
+    assert (0.5 * (bad - bad.T)).tobytes() == (0.5 * (theta - theta.T)).tobytes()
+    cholesky_like(theta)
+    refusals = []
+    for factor in (murnaghan, cholesky_like, murnaghan):
+        with pytest.raises(StructureError) as exc:
+            factor(bad)
+        refusals.append((str(exc.value), exc.value.residuals))
+    assert refusals == [refusals[0]] * 3
+    assert len(eigh_calls) == 1
+
+
+def test_theta_changed_in_place_is_factored_afresh(eigh_calls):
+    theta = random_skew_nonsingular(6, np.random.default_rng(31))
+    first = cholesky_like(theta)
+    theta *= 2.0
+    second = cholesky_like(theta)
+    assert len(eigh_calls) == 2
+    assert np.allclose(second.deltas, 2.0 * first.deltas, rtol=1e-12)
+    assert np.array_equal(second.Sigma, reference_cholesky_like(theta)[0])
+
+
+def test_exactly_skew_part_shares_the_factor_of_its_source(eigh_calls):
+    """The skew part that PmParams.symmetrized stores factors from the memo
+    entry of the matrix it came from, bit for bit."""
+    theta = random_skew_nonsingular(8, np.random.default_rng(32))
+    theta[0, 1] += 1e-12  # within the structure rule, not exactly skew
+    first = cholesky_like(theta)
+    skew = 0.5 * (theta - theta.T)
+    assert not np.array_equal(skew, theta)
+    second = cholesky_like(skew)
+    assert len(eigh_calls) == 1
+    for key in ("Sigma", "O", "deltas"):
+        assert np.array_equal(getattr(first, key), getattr(second, key))
+
+
+def test_changing_a_returned_factor_leaves_the_next_result_unchanged():
+    theta = random_skew_nonsingular(6, np.random.default_rng(33))
+    o, deltas = murnaghan(theta)
+    fact = cholesky_like(theta)
+    want = [x.copy() for x in (o, deltas, fact.Sigma, fact.O, fact.deltas)]
+    for x in (o, deltas, fact.Sigma, fact.O, fact.deltas):
+        assert x.flags.writeable
+        x[...] = 0.0
+    again = cholesky_like(theta)
+    got = [*murnaghan(theta), again.Sigma, again.O, again.deltas]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_skew_form_memo_keeps_the_last_two(eigh_calls):
+    thetas = [float(k + 1) * j_matrix(4) for k in range(3)]
+    for theta in thetas:
+        murnaghan(theta)
+    murnaghan(thetas[2])
+    murnaghan(thetas[1])
+    assert len(eigh_calls) == 3
+    murnaghan(thetas[0])  # evicted by the third
+    assert len(eigh_calls) == 4

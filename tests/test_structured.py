@@ -80,6 +80,15 @@ def test_structured_matrices_of_size_zero_are_empty():
         assert fn(0).shape == (0, 0)
 
 
+def test_structured_matrices_are_fresh_and_writable():
+    for fn in (j_matrix, bold_j_matrix):
+        first = fn(4)
+        want = first.copy()
+        assert first.flags.writeable and fn(4) is not first
+        first[...] = 7.0
+        assert np.array_equal(fn(4), want)
+
+
 def test_t_matrix_identities():
     for k in (2, 4, 8, 16, 32):
         t = t_matrix(k)
@@ -96,6 +105,25 @@ def test_doubled_up_layout():
     assert out[0, 0] == 1 + 2j and out[0, 1] == 3 - 1j
     assert out[1, 0] == 3 + 1j and out[1, 1] == 1 - 2j
     assert doubled_up_residual(out) == 0.0
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (2, 3), (3, 2), (0, 2), (2, 0)])
+def test_block_forms_match_np_block_byte_for_byte(rows, cols):
+    """Signed zeros included: the real and imaginary parts hold +-0.0 entries."""
+    rng = np.random.default_rng(10 * rows + cols)
+    x1 = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    x2 = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    x1.flat[::2] = complex(0.0, -0.0)
+    x2.flat[1::2] = complex(-0.0, 0.0)
+    plus, minus = x1 + x2, x1 - x2
+    refs = {
+        doubled_up: np.block([[x1, x2], [x2.conj(), x1.conj()]]),
+        nabla: np.block([[plus.real, -minus.imag], [plus.imag, minus.real]]),
+    }
+    for fn, want in refs.items():
+        got = fn(x1, x2)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_doubled_up_shape_mismatch():

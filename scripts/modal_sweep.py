@@ -20,6 +20,9 @@ family:
   is no better a reference than the modal values.
 
 ``statespace.MODAL_CONDITION_LIMIT`` is read from the first three families.
+Each family's count of systems whose kappa_1 (inf for a singular basis)
+exceeds ``realizability.DEFECTIVE_BASIS_LIMIT``, where the F solve takes
+its feedback-shifted pass, is printed last.
 """
 
 import argparse
@@ -31,10 +34,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from oqho.forms import PmParams, build_pm_realization
-from oqho.realizability import draw_sample_points
+from oqho.realizability import DEFECTIVE_BASIS_LIMIT, draw_sample_points
 from oqho.sampling import random_pm_params, random_symplectic
 from oqho.statespace import (
     StateSpace,
+    _basis_condition,
     _eigensystem,
     _evaluate_quadruple,
     block_diag,
@@ -44,10 +48,11 @@ from oqho.structured import j_matrix
 
 
 def deviation(ss, seed):
-    """(kappa_1, largest relative deviation), or None for a singular basis."""
+    """(kappa_1, largest relative deviation), or (inf, None) for a singular basis."""
     lam, v, w = spectrum = _eigensystem(ss.A)
+    kappa = _basis_condition(spectrum)
     if w is None:
-        return None
+        return kappa, None
     pts = draw_sample_points(np.concatenate([lam, -lam.conj()]), 20, seed)
     pts = np.concatenate([pts, -np.conj(pts)])
     abcd = ss.A, ss.B, ss.C, ss.D
@@ -56,7 +61,7 @@ def deviation(ss, seed):
     solved = _evaluate_quadruple(*abcd, pts, (lam, v, None))
     dev = np.linalg.norm(modal - solved, axis=(1, 2))
     dev /= np.fmax(1.0, np.linalg.norm(solved, axis=(1, 2)))
-    return np.linalg.norm(v, 1) * np.linalg.norm(w, 1), float(dev.max())
+    return kappa, float(dev.max())
 
 
 def near_defective(count, delta, rng):
@@ -103,11 +108,12 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     families = ("realizable", "drifted", "near-defective", "non-normal")
     worst = {}
+    shifted = dict.fromkeys(families, 0)
     for i, (family, ss) in enumerate(systems(rng)):
-        found = deviation(ss, i)
-        if found is None:
+        kappa, dev = deviation(ss, i)
+        shifted[family] += kappa > DEFECTIVE_BASIS_LIMIT
+        if dev is None:
             continue
-        kappa, dev = found
         key = (int(np.floor(2 * np.log10(kappa))), family)
         count, largest = worst.get(key, (0, 0.0))
         worst[key] = count + 1, max(largest, dev)
@@ -118,6 +124,8 @@ def main(argv=None) -> int:
             count, largest = worst.get((bucket, family), (0, None))
             cells.append(f"{largest:.1e} ({count})" if count else "-")
         print(f"{10 ** (bucket / 2):.1e} | " + " | ".join(cells))
+    print(f"above {DEFECTIVE_BASIS_LIMIT:.0e} | "
+          + " | ".join(str(shifted[family]) for family in families))
     return 0
 
 

@@ -10,8 +10,8 @@ realizable as an oscillator network exactly when
 The frequency check samples the (J, J)-unitarity defect at pseudo-random
 points away from the poles.  One eigendecomposition A = V L V^{-1} places the
 points, guards them, and gives G and G~ at every one of them in modal form
-(see ``statespace.evaluate``); the first pass of the F solve in synthesis, and
-a spectrum report of the same A, take it from the memo of
+(see ``statespace.evaluate``); the F solve in synthesis, which picks its pass
+from it, and a spectrum report of the same A, take it from the memo of
 ``statespace._eigensystem`` rather than decompose A again.  With no defect to
 decide on (no sample point, or a defect that is not finite in double
 precision) D decides alone: not-PR when it is not orthogonal, otherwise
@@ -40,9 +40,10 @@ reduced first, as the raw solve may accept a hidden closed pair.  F
 solves A^T F + F A = C^T J C, computed in the eigen-coordinates of A, O(n^3)
 (the idea of Bartels and Stewart, CACM 15(9), 1972).  Pole pairs with
 l_i + l_j = 0, such as the reference model's, are pinned by the coupling
-equation F B D^{-1} = C^T J; a defective eigenbasis is solved once more on
-the same equation under state feedback.  Every candidate must be finite and
-pass the time-domain conditions at Theta = F^{-1}.  The synthesized
+equation F B D^{-1} = C^T J; a defective eigenbasis, told apart before the
+solve by its condition number, is solved on the same equation under state
+feedback instead.  The one candidate must be finite and pass the
+time-domain conditions at Theta = F^{-1}.  The synthesized
 realization is verified by mapping it back through its change of coordinates
 Sigma onto the input realization: a state-space similarity has the same
 transfer function at every s (Zhou, Doyle and Glover, Robust and Optimal Control,
@@ -63,6 +64,7 @@ from .forms import PmParams, build_pm_realization
 from .skewfactor import relate_ccr
 from .statespace import (
     StateSpace,
+    _basis_condition,
     _eigensystem,
     _evaluate_quadruple,
     _mirror_pairs,
@@ -87,7 +89,6 @@ __all__ = [
     "check_jj_unitary",
     "check_pr_frequency",
     "check_pr_time_domain",
-    "compute_f",
     "synthesize",
 ]
 
@@ -99,6 +100,10 @@ SAMPLE_EXCLUSION = 1e-6
 VERDICT_TOLERANCE = 1e-8
 # end-to-end tolerance for the synthesize rebuild verification
 REBUILD_TOLERANCE = 1e-7
+# the F solve runs under state feedback when |V|_1 |V^{-1}|_1 of the eigenbasis of
+# A exceeds this: every diagonalizable test system reads at most 5.4e4, every
+# defective one 1.7e8 or more (scripts/modal_sweep.py counts each family above it)
+DEFECTIVE_BASIS_LIMIT = 1e6
 
 
 @dataclass
@@ -378,76 +383,50 @@ def _solve_f(ss: StateSpace, tol: float):
     of A, O(n^3), pinning the entries of mirrored pole pairs by the second
     equation.  At Theta = F^{-1} they are the time-domain conditions: output
     coupling times D^{-1}, its transpose for an orthosymplectic D, and F (CCR
-    preservation) F.  A candidate is accepted only through the gate below: a
-    numerically nonsingular skew part and every ``_time_domain_conditions``
-    residual at (F^{-1}, F) within ``tol``.  When the eigenvector basis is
-    singular or the candidate fails the gate (a defective basis, or an
-    unrealizable system), the same solve runs once more on the equivalent
-    equation under state feedback, and that candidate must pass the gate;
-    with B = 0 there is no feedback, and the first pass's error stands.  The
-    raw asymmetry of the solution is recorded before it is removed.
+    preservation) F.  One pass runs, chosen before it solves: in the
+    eigenbasis V of A while V^{-1} exists and |V|_1 |V^{-1}|_1 is at most
+    DEFECTIVE_BASIS_LIMIT, or when B = 0, which leaves no feedback; otherwise
+    (a defective basis) on the equivalent equation under state feedback.  Its
+    candidate is accepted only with a numerically nonsingular skew part and
+    every ``_time_domain_conditions`` residual at (F^{-1}, F) within ``tol``.
+    A candidate that is not finite raises LinAlgError before any SVD: the SVD
+    of a matrix with an inf may never return.  The raw asymmetry of the
+    solution is recorded before it is removed.
     """
     if ss.state_dim == 0:
         raise ValueError("no dynamics: a static system does not define F")
     channels = ss.require_square_channels()
     inv = inverse_realization(ss)  # refuses a singular D
-    b_dinv, dinv_c = inv.B, -inv.C
     j = j_matrix(channels)
-
-    def gate(f_raw):
-        """(F, F^{-1}, residuals) of an accepted solution; raises otherwise,
-        LinAlgError for a candidate that is not finite, before any SVD: the
-        SVD of a matrix with an inf may never return."""
-        if not np.isfinite(f_raw).all():
-            raise np.linalg.LinAlgError(
-                "the similarity matrix F is not finite in double precision")
-        asym = _relative(f_raw + f_raw.T, np.linalg.norm(f_raw))
-        f = 0.5 * (f_raw - f_raw.T)
-        _require_nonsingular(_min_singular_ratio(f), "similarity matrix F")
-        f_inv = np.linalg.inv(f)
-        residuals = _time_domain_conditions(ss, j, f_inv, f)
-        reason = _violations(residuals, tol)
-        if reason:
-            raise NotRealizableError(
-                f"no skew similarity solves the realizability equations "
-                f"({reason}); the system is not realizable or not minimal"
-            )
-        residuals["f_raw_asymmetry"] = asym
-        return f, f_inv, residuals
-
     ctj = ss.C.T @ j
     q = ctj @ ss.C
-    try:
-        return gate(_lyapunov_f(_eigensystem(ss.A), q, b_dinv, ctj))
-    except (np.linalg.LinAlgError, SingularMatrixError, NotRealizableError):
-        if not ss.B.any():  # the feedback shift below divides by |B|^2
-            raise
-    # Feedback K moves the poles of a controllable pair and so splits a
-    # defective eigenbasis (Wonham, IEEE TAC 12(6), 1967).  As B^T F = J D^{-1} C
-    # and F B = C^T J D, F solves (A + BK)^T F + F (A + BK) = C^T J C
-    # + K^T J D^{-1} C + C^T J D K.  K = -t (I + J) B^T, t = |A| / |B|^2: under
-    # K = -t B^T alone an isotropically coupled mode keeps its Jordan block.
-    k = -np.linalg.norm(ss.A) / np.linalg.norm(ss.B) ** 2 * (np.eye(len(j)) + j) @ ss.B.T
-    q_shift = q + k.T @ j @ dinv_c + ctj @ ss.D @ k
-    return gate(_lyapunov_f(_eigensystem(ss.A + ss.B @ k), q_shift, b_dinv, ctj))
-
-
-def compute_f(ss: StateSpace) -> np.ndarray:
-    """Skew similarity certificate of a realizable system, unique when the
-    system is minimal.
-
-    A non-minimal input with a hidden mirrored pole pair may still return an
-    F: the pinned entries of the hidden pair are fixed by rounding-level
-    coupling rows, and the least-squares pin solves them as if they had full
-    rank.  Raises ValueError for static systems, NotRealizableError when D is not
-    orthosymplectic or no solution of the similarity equations meets the
-    time-domain conditions at Theta = F^{-1} within VERDICT_TOLERANCE,
-    SingularMatrixError when D or the solution is singular to working
-    precision, and LinAlgError when an eigendecomposition fails or both
-    eigenvector bases are singular.
-    """
-    f, _, _ = _solve_f(ss, VERDICT_TOLERANCE)
-    return f
+    spectrum = _eigensystem(ss.A)
+    if _basis_condition(spectrum) > DEFECTIVE_BASIS_LIMIT and ss.B.any():
+        # Feedback K moves the poles of a controllable pair and so splits a
+        # defective eigenbasis (Wonham, IEEE TAC 12(6), 1967).  As B^T F = J D^{-1} C
+        # and F B = C^T J D, F solves (A + BK)^T F + F (A + BK) = C^T J C
+        # + K^T J D^{-1} C + C^T J D K.  K = -t (I + J) B^T, t = |A| / |B|^2: under
+        # K = -t B^T alone an isotropically coupled mode keeps its Jordan block.
+        k = -np.linalg.norm(ss.A) / np.linalg.norm(ss.B) ** 2 * (np.eye(len(j)) + j) @ ss.B.T
+        q = q - k.T @ j @ inv.C + ctj @ ss.D @ k
+        spectrum = _eigensystem(ss.A + ss.B @ k)
+    f_raw = _lyapunov_f(spectrum, q, inv.B, ctj)
+    if not np.isfinite(f_raw).all():
+        raise np.linalg.LinAlgError(
+            "the similarity matrix F is not finite in double precision")
+    asym = _relative(f_raw + f_raw.T, np.linalg.norm(f_raw))
+    f = 0.5 * (f_raw - f_raw.T)
+    _require_nonsingular(_min_singular_ratio(f), "similarity matrix F")
+    f_inv = np.linalg.inv(f)
+    residuals = _time_domain_conditions(ss, j, f_inv, f)
+    reason = _violations(residuals, tol)
+    if reason:
+        raise NotRealizableError(
+            f"no skew similarity solves the realizability equations "
+            f"({reason}); the system is not realizable or not minimal"
+        )
+    residuals["f_raw_asymmetry"] = asym
+    return f, f_inv, residuals
 
 
 def _require_pr(ss: StateSpace, tol: float, num_samples: int, seed: int) -> PrReport:

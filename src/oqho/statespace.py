@@ -218,6 +218,13 @@ def _decompose(a: np.ndarray) -> tuple:
     return lam, v, w
 
 
+def _basis_condition(spectrum: tuple) -> float:
+    """kappa_1(V) = |V|_1 |V^{-1}|_1 of an ``_eigensystem``'s eigenvector
+    basis V; inf when V^{-1} is missing."""
+    _, v, w = spectrum
+    return np.inf if w is None else np.linalg.norm(v, 1) * np.linalg.norm(w, 1)
+
+
 def _evaluate_quadruple(a, b, c, d, points, spectrum) -> np.ndarray:
     """Stack of c (sI - a)^{-1} b + d over ``points``, shape (k, outputs, inputs).
 
@@ -226,8 +233,8 @@ def _evaluate_quadruple(a, b, c, d, points, spectrum) -> np.ndarray:
     RESOLVENT_GUARD * (1 + |s|) of an eigenvalue, and its nearest eigenvalue,
     since the resolvent is meaningless there.  With a = V diag(lam) V^{-1},
     every value is d + (c V) diag(1 / (s - lam)) (V^{-1} b): O(n q p) per
-    point once the eigensystem is known.  When V^{-1} is missing or
-    |V|_1 |V^{-1}|_1 exceeds MODAL_CONDITION_LIMIT, a single stacked solve of
+    point once the eigensystem is known.  When ``_basis_condition`` exceeds
+    MODAL_CONDITION_LIMIT (or V^{-1} is missing), a single stacked solve of
     every sI - a gives the values instead.  Real and complex quadruples are
     both accepted.  Zero points or zero states take the same path: with no
     state, c (sI - a)^{-1} b is an empty sum, so every point gives d.
@@ -241,7 +248,7 @@ def _evaluate_quadruple(a, b, c, d, points, spectrum) -> np.ndarray:
     if near.any():
         i = int(np.argmax(near))
         raise NearPoleError(complex(pts[i]), lam[np.argmin(dist[i])])
-    if w is not None and np.linalg.norm(v, 1) * np.linalg.norm(w, 1) <= MODAL_CONDITION_LIMIT:
+    if _basis_condition(spectrum) <= MODAL_CONDITION_LIMIT:
         return (c @ v)[None] * (1.0 / (pts[:, None] - lam))[:, None, :] @ (w @ b) + d
     # sI - A for every point, built in place in one (k, n, n) allocation
     shifted = np.zeros((k, n, n), dtype=complex)

@@ -9,8 +9,11 @@ is synthesized once more with two hidden states added, an undamped pair
 +-i w that neither B nor C reaches, under a random orthogonal mix: the
 mirrored pair must send it through the minimality reduction back to the
 draw's order.  These come from a second generator, seeded from ``--seed``,
-so the draws themselves do not depend on them.  A negative control batch
-perturbs the built systems and reports the rejection rate.
+so the draws themselves do not depend on them.  Each draw's feedthrough D is
+synthesized on its own as a static system, which must give a set of no
+modes, and so is 2 D, which must be refused with a not-PR report; neither
+draws a random number.  A negative control batch perturbs the built systems
+and reports the rejection rate.
 """
 
 import argparse
@@ -23,6 +26,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from oqho.errors import NotRealizableError
 from oqho.forms import build_pm_realization
 from oqho.realizability import check_pr_frequency, check_pr_time_domain, synthesize
 from oqho.sampling import random_orthogonal, random_pm_params, random_skew_nonsingular
@@ -81,6 +85,8 @@ def main(argv=None) -> int:
     worst_jj = 0.0
     worst_rebuild = 0.0
     hidden_reduced = 0
+    static_synthesized = 0
+    static_refused = 0
     rejected_controls = 0
     start = time.perf_counter()
 
@@ -113,6 +119,12 @@ def main(argv=None) -> int:
             and reduced.equation_residuals["rebuild_max_relative_deviation"] < 1e-6
         )
 
+        static_synthesized += synthesize(StateSpace.static(ss.D)).params.modes == 0
+        try:
+            synthesize(StateSpace.static(2.0 * ss.D))
+        except NotRealizableError as exc:
+            static_refused += exc.report is not None and exc.report.verdict == "not-PR"
+
         # negative control: a symmetric drift on A breaks the commutation
         # relations, so the time-domain check must reject it
         bump = rng.standard_normal((ss.state_dim, ss.state_dim))
@@ -128,6 +140,8 @@ def main(argv=None) -> int:
     print(f"worst (J,J)-unitarity residual      : {worst_jj:.3e}")
     print(f"worst rebuild deviation             : {worst_rebuild:.3e}")
     print(f"hidden undamped pairs reduced       : {hidden_reduced}/{accepted}")
+    print(f"static D synthesized, no modes      : {static_synthesized}/{accepted}")
+    print(f"static 2 D refused as not-PR        : {static_refused}/{accepted}")
     print(f"perturbed controls rejected         : {rejected_controls}/{accepted}")
     print(f"elapsed                             : {elapsed:.2f} s")
 
@@ -136,6 +150,7 @@ def main(argv=None) -> int:
         and worst_jj < cfg.tol
         and worst_rebuild < 1e-6
         and hidden_reduced == accepted
+        and static_synthesized == static_refused == accepted
         and rejected_controls == accepted
     )
     return 0 if ok else 1

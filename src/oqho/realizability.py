@@ -43,7 +43,9 @@ l_i + l_j = 0, such as the reference model's, are pinned by the coupling
 equation F B D^{-1} = C^T J; a defective eigenbasis, told apart before the
 solve by its condition number, is solved on the same equation under state
 feedback instead.  The one candidate must be finite and pass the
-time-domain conditions at Theta = F^{-1}.  The synthesized
+time-domain conditions at Theta = F^{-1}, each residual finite.  A static
+system (G = D) takes the same formulas with a 0x0 F: both the frequency
+condition and (i)-(iv) reduce to D orthosymplectic.  The synthesized
 realization is verified by mapping it back through its change of coordinates
 Sigma onto the input realization: a state-space similarity has the same
 transfer function at every s (Zhou, Doyle and Glover, Robust and Optimal Control,
@@ -311,11 +313,9 @@ def check_pr_time_domain(ss: StateSpace, theta,
     _require_structure("commutation matrix Theta",
                        {"theta_skew_symmetry": skew_symmetry_residual(theta)},
                        {"theta_skew_symmetry": theta})
-    theta_inv = None
-    if n2:  # a static report carries the D conditions only
-        _require_nonsingular(_min_singular_ratio(theta), "commutation matrix Theta")
-        theta_inv = np.linalg.inv(theta)
-    conditions = _time_domain_conditions(ss, j_matrix(channels), theta, theta_inv)
+    _require_nonsingular(_min_singular_ratio(theta), "commutation matrix Theta")
+    conditions = _time_domain_conditions(ss, j_matrix(channels), theta,
+                                         np.linalg.inv(theta))
     return _report("time", conditions, conditions, tol)
 
 
@@ -325,22 +325,21 @@ def _relative(x: np.ndarray, scale: float) -> float:
 
 
 def _time_domain_conditions(ss: StateSpace, j: np.ndarray, theta: np.ndarray,
-                            theta_inv: np.ndarray | None) -> dict:
+                            theta_inv: np.ndarray) -> dict:
     """The relative residuals of conditions (i)-(iv) against ``theta``, whose
-    inverse is ``theta_inv``; (ii)-(iv) only when the system has states.  A
+    inverse is ``theta_inv``; with no state, (ii)-(iv) are exactly 0.  A
     minus the A rebuilt from the R read off it is 1/2 (ii) Theta^{-1}, which
     does not scale with Theta: it catches the drift a small Theta hides."""
     conditions = {"d_orthogonality": orthogonality_residual(ss.D),
                   "d_symplectic": symplectic_residual(ss.D)}
-    if ss.state_dim:
-        norm_a = np.linalg.norm(ss.A)
-        bjbt = ss.B @ j @ ss.B.T
-        ccr = ss.A @ theta + theta @ ss.A.T + bjbt
-        conditions["ccr_preservation"] = _relative(
-            ccr, 2.0 * norm_a * np.linalg.norm(theta) + np.linalg.norm(bjbt))
-        conditions["output_coupling"] = _relative(
-            ss.C + ss.D @ j @ ss.B.T @ theta_inv, np.linalg.norm(ss.C))
-        conditions["hamiltonian_reconstruction"] = _relative(0.5 * ccr @ theta_inv, norm_a)
+    norm_a = np.linalg.norm(ss.A)
+    bjbt = ss.B @ j @ ss.B.T
+    ccr = ss.A @ theta + theta @ ss.A.T + bjbt
+    conditions["ccr_preservation"] = _relative(
+        ccr, 2.0 * norm_a * np.linalg.norm(theta) + np.linalg.norm(bjbt))
+    conditions["output_coupling"] = _relative(
+        ss.C + ss.D @ j @ ss.B.T @ theta_inv, np.linalg.norm(ss.C))
+    conditions["hamiltonian_reconstruction"] = _relative(0.5 * ccr @ theta_inv, norm_a)
     return conditions
 
 
@@ -369,7 +368,7 @@ def _lyapunov_f(spectrum: tuple, q: np.ndarray, g: np.ndarray, h: np.ndarray) ->
     return (w.T @ y @ w).real
 
 
-# values too large for double precision end in a refusal, without a warning
+# values too large for double precision end in LinAlgError, without a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _solve_f(ss: StateSpace, tol: float):
     """Solve the similarity equations for the skew certificate F.
@@ -390,11 +389,11 @@ def _solve_f(ss: StateSpace, tol: float):
     candidate is accepted only with a numerically nonsingular skew part and
     every ``_time_domain_conditions`` residual at (F^{-1}, F) within ``tol``.
     A candidate that is not finite raises LinAlgError before any SVD: the SVD
-    of a matrix with an inf may never return.  The raw asymmetry of the
-    solution is recorded before it is removed.
+    of a matrix with an inf may never return.  A gate residual that is not
+    finite raises it too: it is no evidence either way.  A static system
+    gets a 0x0 F, and D's residuals decide its gate.  The raw asymmetry of
+    the solution is recorded before it is removed.
     """
-    if ss.state_dim == 0:
-        raise ValueError("no dynamics: a static system does not define F")
     channels = ss.require_square_channels()
     inv = inverse_realization(ss)  # refuses a singular D
     j = j_matrix(channels)
@@ -419,6 +418,9 @@ def _solve_f(ss: StateSpace, tol: float):
     _require_nonsingular(_min_singular_ratio(f), "similarity matrix F")
     f_inv = np.linalg.inv(f)
     residuals = _time_domain_conditions(ss, j, f_inv, f)
+    if not np.isfinite(list(residuals.values())).all():
+        raise np.linalg.LinAlgError(
+            "the similarity residuals are not finite in double precision")
     reason = _violations(residuals, tol)
     if reason:
         raise NotRealizableError(
@@ -458,7 +460,7 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
     drawn for it.  When the F solve refuses, the frequency-domain check at
     ``tol``, ``num_samples`` and ``seed`` explains why: unless it reads PR,
     NotRealizableError carries its report; if it does, the solve's error
-    stands.  A static system, which has no F, is decided by that check.
+    stands.  A static system is certified the same way, by a 0x0 F.
     ``theta_target`` selects the commutation matrix of the synthesized
     parameters (default: the canonical J of matching size).
 
@@ -473,7 +475,7 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
     refusals = (np.linalg.LinAlgError, SingularMatrixError, NotRealizableError,
                 DimensionError)
     work, certificate = ss, None
-    if ss.state_dim and not _mirror_pairs(_eigensystem(ss.A)[0])[1].any():
+    if not _mirror_pairs(_eigensystem(ss.A)[0])[1].any():
         try:  # an accepted F certifies the input as given
             certificate = _solve_f(ss, tol)
         except refusals:
@@ -485,15 +487,12 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
         work = minimal_realization(ss)
     reduced_from = None if work is ss else ss.state_dim
     n2 = work.state_dim
-    if not n2:  # no states, no certificate: the check decides
-        _require_pr(work, tol, num_samples, seed)
-    elif certificate is None:
+    if certificate is None:
         try:
             certificate = _solve_f(work, tol)
         except refusals:
             _require_pr(work, tol, num_samples, seed)  # the check explains why
             raise
-    channels = work.num_outputs
     if theta_target is None:
         theta_target = j_matrix(n2)
     # a copy, so that the parameters do not share the caller's array
@@ -504,16 +503,8 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
             f"got {theta_target.shape}"
         )
 
-    if n2 == 0:  # G = D: the parameters are D alone, and they rebuild G exactly
-        empty = np.zeros((0, 0))
-        params = PmParams(work.D.copy(), np.zeros((channels, 0)), empty, empty)
-        residuals = dict.fromkeys(("f_raw_asymmetry", "rhat_symmetry", "ccr_factorization",
-                                   "rebuild_max_relative_deviation"), 0.0)
-        return SynthesisResult(F=empty, Rhat=empty, Sigma=empty, params=params,
-                               equation_residuals=residuals, reduced_from=reduced_from)
-
     f, f_inv, residuals = certificate
-    j = j_matrix(channels)
+    j = j_matrix(work.num_outputs)
     rhat_raw = 0.5 * f @ (work.A @ f_inv + 0.5 * work.B @ j @ work.B.T) @ f
     rhat_sym = _relative(rhat_raw - rhat_raw.T, np.linalg.norm(rhat_raw))
     rhat = 0.5 * (rhat_raw + rhat_raw.T)

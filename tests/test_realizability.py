@@ -25,6 +25,7 @@ from oqho.realizability import (
 )
 from oqho.sampling import (
     random_orthogonal,
+    random_orthosymplectic,
     random_pm_params,
     random_skew_nonsingular,
     random_symplectic,
@@ -656,6 +657,22 @@ class TestTimeDomainCheck:
         assert report.condition_residuals["output_coupling"] < 1e-10
         assert report.condition_residuals["d_orthogonality"] < 1e-10
 
+    def test_static_system_reports_every_condition(self):
+        """With no state, (ii)-(iv) are residuals of empty arrays, exactly 0,
+        and D's residuals decide."""
+        params = example_pm_params()
+        dynamic = check_pr_time_domain(build_pm_realization(params), params.Theta)
+        empty = np.zeros((0, 0))
+        good = check_pr_time_domain(StateSpace.static(j_matrix(4)), empty)
+        bad = check_pr_time_domain(StateSpace.static(np.diag([2.0, 0.5, 1.0, 1.0])), empty)
+        for report in (good, bad):
+            assert list(report.condition_residuals) == list(dynamic.condition_residuals)
+            for key in ("ccr_preservation", "output_coupling", "hamiltonian_reconstruction"):
+                assert report.condition_residuals[key] == 0.0
+        assert good.verdict == "PR"
+        assert bad.verdict == "not-PR"
+        assert "dominant: d_orthogonality" in bad.failure_reason
+
 
 def test_compute_f_on_reference_model():
     """Frozen certificate: for the diagonal realization F equals J C."""
@@ -966,18 +983,22 @@ def test_f_gate_refuses_a_non_finite_candidate_before_any_svd(monkeypatch):
 
 
 def test_synthesize_refuses_an_overflowing_state_matrix_without_a_warning():
-    """A scaled by 1e150 overflows the F solve: a refusal, not a warning."""
+    """A scaled by 1e150 overflows the F gate's residuals: no evidence either
+    way, so a numerical failure (inconclusive), not a verdict or a warning;
+    the sampled check reads PR, every pole lying far beyond its band."""
     for seed in range(8):
         _, ss = built_system(seed, 1 + seed % 4, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NotRealizableError):
+            with pytest.raises(np.linalg.LinAlgError, match="not finite in double precision"):
                 synthesize(StateSpace(1e150 * ss.A, ss.B, ss.C, ss.D))
 
 
-def test_compute_f_rejects_static_and_unrealizable():
-    with pytest.raises(ValueError):
-        compute_f(StateSpace.static(np.eye(2)))
+def test_compute_f_certifies_static_and_rejects_unrealizable():
+    f, f_inv, residuals = realizability._solve_f(StateSpace.static(np.eye(2)),
+                                                 VERDICT_TOLERANCE)
+    assert f.shape == f_inv.shape == (0, 0)
+    assert set(residuals.values()) == {0.0}
     rng = np.random.default_rng(8)
     junk = StateSpace(
         rng.standard_normal((2, 2)),
@@ -1042,10 +1063,31 @@ class TestSynthesize:
         assert result.reduced_from == 6
         assert result.params.R.shape == (4, 4)
 
-    def test_static_synthesis(self):
-        result = synthesize(StateSpace.static(j_matrix(4)))
+    def test_static_synthesis(self, monkeypatch):
+        """The 0x0 certificate decides a static input, as F decides every
+        other size, with no sample point; its residuals carry the same keys,
+        each exactly 0."""
+        draws = counted_calls(monkeypatch, realizability, "draw_sample_points")
+        static = synthesize(StateSpace.static(j_matrix(4)))
+        assert static.params.modes == 0
+        assert np.array_equal(static.params.D, j_matrix(4))
+        assert len(draws) == 0
+        assert static.F.shape == static.Sigma.shape == (0, 0)
+        dynamic = synthesize(example_state_space())
+        assert list(static.equation_residuals) == list(dynamic.equation_residuals)
+        assert set(static.equation_residuals.values()) == {0.0}
+
+    @pytest.mark.parametrize("hidden", [-np.eye(2), np.array([[0.0, 2.0], [-2.0, 0.0]])],
+                             ids=["stable", "undamped"])
+    def test_hidden_states_of_a_static_system_are_reduced(self, hidden):
+        """G = J with two states that neither B nor C reaches: the stable pair
+        is refused by the raw F, the undamped one is a mirrored pair, and both
+        reduce to no mode."""
+        ss = StateSpace(hidden, np.zeros((2, 2)), np.zeros((2, 2)), j_matrix(2))
+        result = synthesize(ss)
+        assert result.reduced_from == 2
         assert result.params.modes == 0
-        assert np.array_equal(result.params.D, j_matrix(4))
+        assert np.array_equal(result.params.D, j_matrix(2))
 
     def test_rejects_unrealizable_input(self):
         ss = StateSpace(
@@ -1170,6 +1212,51 @@ def test_synthesize_near_degenerate_pairs(exponent, refuse_large_kron):
     worst = max(res[k] for k in
                 ("ccr_preservation", "output_coupling", "hamiltonian_reconstruction"))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["orthosymplectic", "orthogonal, not symplectic",
+                                  "not orthogonal", "singular"])
+@pytest.mark.parametrize("pairs", [1, 2, 3])
+def test_static_synthesis_accepts_exactly_what_the_check_reads_pr(pairs, kind):
+    """G = D: the 0x0 certificate and the sampled check both reduce to D
+    orthosymplectic.  A refusal carries the check's report and wording."""
+    rest = np.ones(2 * pairs - 2)
+    d = {
+        "orthosymplectic": random_orthosymplectic(2 * pairs, np.random.default_rng(pairs)),
+        "orthogonal, not symplectic": np.diag(np.r_[1.0, -1.0, rest]),
+        "not orthogonal": np.diag(np.r_[2.0, 0.5, rest]),
+        "singular": np.zeros((2 * pairs, 2 * pairs)),
+    }[kind]
+    ss = StateSpace.static(d)
+    report = check_pr_frequency(ss)
+    assert report.is_pr == (kind == "orthosymplectic")
+    if report.is_pr:
+        result = synthesize(ss)
+        assert result.params.modes == 0 and result.reduced_from is None
+        assert np.array_equal(result.params.D, d)
+        return
+    with pytest.raises(NotRealizableError) as exc:
+        synthesize(ss)
+    assert exc.value.report == report
+    assert str(exc.value) == f"system is not physically realizable: {report.failure_reason}"
+
+
+@pytest.mark.parametrize("states", [32, 64, 128])
+def test_wide_systems_have_as_many_channels_as_states(states):
+    """Channels as a second size axis (p = n): each exactly PR system is
+    checked PR and synthesized, and a drifted copy is refused by both."""
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        ss = build_pm_realization(random_pm_params(states // 2, states // 2, rng))
+        assert ss.num_outputs == ss.state_dim == states
+        assert check_pr_frequency(ss).verdict == "PR"
+        result = synthesize(ss)
+        assert result.reduced_from is None
+        assert result.equation_residuals["rebuild_max_relative_deviation"] < 1e-7
+        drifted = drifted_system(ss, rng)
+        assert check_pr_frequency(drifted).verdict == "not-PR"
+        with pytest.raises(NotRealizableError):
+            synthesize(drifted)
 
 
 def test_zero_pole_mirror_on_reference_model():
@@ -1311,7 +1398,7 @@ def test_nan_similarity_residual_fails_the_f_gate(monkeypatch):
         return dict(residuals(*args), output_coupling=np.nan)
 
     monkeypatch.setattr(realizability, "_time_domain_conditions", nan_coupling)
-    with pytest.raises(NotRealizableError, match="output_coupling residual nan"):
+    with pytest.raises(np.linalg.LinAlgError, match="not finite in double precision"):
         compute_f(example_state_space())
 
 

@@ -3,6 +3,9 @@
 Subcommands: check, synthesize, convert, spectrum, factor, example.
 Exit codes: 0 success / realizable, 1 not realizable, 2 input or usage error,
 3 inconclusive (sample placement or a numerical linear-algebra step failed).
+check, check --theta and synthesize hold a system to one contract, that of
+``StateSpace.require_square_channels``: a file it refuses exits 2 with its
+one message, whichever of them reads it.
 Reports are JSON with sorted keys, written to --output or to stdout;
 human-readable diagnostics go to stderr.
 
@@ -21,7 +24,6 @@ from . import jsonio
 from .errors import (
     DimensionError,
     NotRealizableError,
-    SamplePlacementError,
     SchemaError,
     SingularMatrixError,
     StructureError,
@@ -155,6 +157,7 @@ def _cmd_check(args) -> int:
         report = check_pr_frequency(ss, tol=args.tol, num_samples=args.samples,
                                     seed=args.seed)
     else:
+        ss.require_square_channels()  # the contract of every check, before J is built
         theta = j_matrix(ss.state_dim) if args.theta == "J" else _read_theta(args.theta)
         report = check_pr_time_domain(ss, theta, tol=args.tol)
     _emit(jsonio.dumps(jsonio.encode_pr_report(report)), args.output)
@@ -249,9 +252,6 @@ def main(argv=None) -> int:
     except (SchemaError, DimensionError, StructureError, SingularMatrixError,
             ValueError, OSError) as exc:
         return _fail(str(exc))
-    except SamplePlacementError as exc:
-        sys.stderr.write(f"inconclusive: {exc}\n")
-        return EXIT_INCONCLUSIVE
 
 
 def entrypoint() -> None:

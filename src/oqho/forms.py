@@ -58,20 +58,12 @@ __all__ = [
     "PmParams",
     "AcParams",
     "ComplexStateSpace",
-    "ito_matrix",
     "build_pm_realization",
     "build_ac_realization",
     "eval_ac_tf",
     "ac_to_pm",
     "pm_to_ac",
 ]
-
-
-def ito_matrix(m: int) -> np.ndarray:
-    """Quantum Ito matrix of m field channels: I + i J (eigenvalues 0 and 2)."""
-    if m < 1:
-        raise DimensionError(f"ito_matrix needs at least one channel, got {m}")
-    return np.eye(2 * m) + 1j * j_matrix(2 * m)
 
 
 @dataclass

@@ -247,8 +247,13 @@ def check_jj_unitary(ss: StateSpace, num_samples: int = 20,
                      seed: int = 42) -> JjUnitarityResult:
     """Sample the defect of G~(s) J G(s) = J (and its flip) at random points;
     it passes within VERDICT_TOLERANCE.  Transfer values too large for double
-    precision give a non-finite defect, without a warning."""
+    precision give a non-finite defect, without a warning.  With no point
+    every system would pass, so ``num_samples`` below 1 raises
+    SamplePlacementError, as a point that cannot be placed does."""
     ss.require_square_channels()
+    if num_samples < 1:
+        raise SamplePlacementError(
+            f"no sample points to decide on: {num_samples} requested")
     j = j_matrix(ss.num_outputs)
     spectrum = _eigensystem(ss.A)
     lam = spectrum[0]
@@ -272,17 +277,15 @@ def check_pr_frequency(ss: StateSpace, tol: float = VERDICT_TOLERANCE,
                        num_samples: int = 20, seed: int = 42) -> PrReport:
     """Frequency-domain realizability verdict for a square even-channel system.
 
-    With no defect to decide on, because the sample points cannot be placed
-    or the sampled defect is not finite, D decides alone: "not-PR" when it is
-    not orthogonal, otherwise "inconclusive", with the D residuals reported.
+    With no defect to decide on, because ``check_jj_unitary`` places no
+    sample point (none requested, or none clear of the spectrum) or its
+    defect is not finite, D decides alone: "not-PR" when it is not
+    orthogonal, otherwise "inconclusive", with the D residuals reported.
     """
     ss.require_square_channels()
     conditions = {"d_orthogonality": orthogonality_residual(ss.D),
                   "d_symplectic": symplectic_residual(ss.D)}
     try:
-        if num_samples < 1:  # with no point, every system would pass
-            raise SamplePlacementError(
-                f"no sample points to decide on: {num_samples} requested")
         jj = check_jj_unitary(ss, num_samples, seed)
     except SamplePlacementError as exc:
         reason = str(exc)
@@ -447,14 +450,17 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
                num_samples: int = 20, seed: int = 42) -> SynthesisResult:
     """Recover oscillator parameters realizing the given transfer function.
 
-    A spectrally generic input (no mirrored pole pair) is certified as
-    given; it is reduced to a minimal realization only when it has a
-    mirrored pair or F refuses it (the original state dimension is then
-    recorded in ``reduced_from``).  An accepted F makes the input a physical
-    realization, whose hidden part is closed, as controllable and observable
-    coincide there (Gough and Zhang, Automatica 59, 2015): its hidden poles
-    come in mirrored pairs, so a generic input that F accepts is minimal.  A
-    refused input that the reduction leaves as it is is not solved again.
+    The input must be a quadrature model, as for every check: a system that
+    ``StateSpace.require_square_channels`` refuses raises its DimensionError
+    before any decomposition or reduction.  A spectrally generic input (no
+    mirrored pole pair) is certified as given; it is reduced to a minimal
+    realization only when it has a mirrored pair or F refuses it (the
+    original state dimension is then recorded in ``reduced_from``).  An
+    accepted F makes the input a physical realization, whose hidden part is
+    closed, as controllable and observable coincide there (Gough and Zhang,
+    Automatica 59, 2015): its hidden poles come in mirrored pairs, so a
+    generic input that F accepts is minimal.  No matrices are solved twice:
+    a refused input that the reduction leaves as it is is not solved again.
     The similarity certificate F decides: it must pass the time-domain
     conditions at Theta = F^{-1} within ``tol``, and no sample point is
     drawn for it.  When the F solve refuses, the frequency-domain check at
@@ -472,27 +478,22 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
     ``theta_target`` hold identically for every realization the builder
     makes from valid parameters, so they are not checked again.
     """
-    refusals = (np.linalg.LinAlgError, SingularMatrixError, NotRealizableError,
-                DimensionError)
-    work, certificate = ss, None
-    if not _mirror_pairs(_eigensystem(ss.A)[0])[1].any():
-        try:  # an accepted F certifies the input as given
-            certificate = _solve_f(ss, tol)
-        except refusals:
-            work = minimal_realization(ss)
-            if work is ss:  # a second solve of the same matrices refuses again
-                _require_pr(ss, tol, num_samples, seed)  # the check explains why
-                raise
-    else:
-        work = minimal_realization(ss)
-    reduced_from = None if work is ss else ss.state_dim
-    n2 = work.state_dim
-    if certificate is None:
-        try:
-            certificate = _solve_f(work, tol)
-        except refusals:
+    ss.require_square_channels()
+    as_given = not _mirror_pairs(_eigensystem(ss.A)[0])[1].any()
+    work = ss if as_given else minimal_realization(ss)
+    while True:
+        try:  # an accepted F certifies ``work``
+            f, f_inv, residuals = _solve_f(work, tol)
+            break
+        except (np.linalg.LinAlgError, SingularMatrixError, NotRealizableError):
+            # a refused generic input is solved again only if the reduction changes it
+            if as_given and (reduced := minimal_realization(ss)) is not ss:
+                as_given, work = False, reduced
+                continue
             _require_pr(work, tol, num_samples, seed)  # the check explains why
             raise
+    reduced_from = None if work is ss else ss.state_dim
+    n2 = work.state_dim
     if theta_target is None:
         theta_target = j_matrix(n2)
     # a copy, so that the parameters do not share the caller's array
@@ -503,7 +504,6 @@ def synthesize(ss: StateSpace, theta_target=None, tol: float = VERDICT_TOLERANCE
             f"got {theta_target.shape}"
         )
 
-    f, f_inv, residuals = certificate
     j = j_matrix(work.num_outputs)
     rhat_raw = 0.5 * f @ (work.A @ f_inv + 0.5 * work.B @ j @ work.B.T) @ f
     rhat_sym = _relative(rhat_raw - rhat_raw.T, np.linalg.norm(rhat_raw))

@@ -24,7 +24,7 @@ from .structured import (
     skew_symmetry_residual,
 )
 
-__all__ = ["SkewFactorization", "murnaghan", "cholesky_like", "relate_ccr"]
+__all__ = ["SkewFactorization", "cholesky_like", "relate_ccr"]
 
 
 @dataclass
@@ -42,21 +42,10 @@ class SkewFactorization:
         return float(np.linalg.norm(rebuilt - theta) / denom)
 
 
-def murnaghan(theta) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal canonical form of a nonsingular skew-symmetric matrix.
-
-    Returns (O, deltas) with Theta = O blkdiag([[0, d_i], [-d_i, 0]]) O^T,
-    deltas sorted descending.  Raises StructureError for non-skew input,
-    DimensionError for odd dimension, SingularMatrixError when the smallest
-    delta vanishes relative to the largest.  The arrays are writable copies
-    of the skew-form memo's (see ``_skew_form``).
-    """
-    o, deltas = _skew_form(theta)
-    return o.copy(), deltas.copy()
-
-
 def _skew_form(theta) -> tuple:
-    """Read-only (O, deltas) of :func:`murnaghan`, through a two-entry memo.
+    """Read-only orthogonal canonical form (O, deltas) of a nonsingular skew
+    Theta, Theta = O blkdiag([[0, d_i], [-d_i, 0]]) O^T with the d_i
+    descending, through a two-entry memo.
 
     The raw input is checked before the lookup, so a non-skew matrix is
     refused on every call.  The memo is keyed on the symmetrized matrix; that
@@ -66,9 +55,8 @@ def _skew_form(theta) -> tuple:
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[0] != theta.shape[1] or theta.shape[0] % 2:
-        raise DimensionError(
-            f"murnaghan needs an even-dimensional square matrix, got {theta.shape}"
-        )
+        raise DimensionError("skew factorization needs an even-dimensional square "
+                             f"matrix, got {theta.shape}")
     _require_structure("skew matrix", {"skew_symmetry": skew_symmetry_residual(theta)},
                        {"skew_symmetry": theta})
     return _canonical_form(0.5 * (theta - theta.T))

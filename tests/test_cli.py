@@ -536,6 +536,25 @@ def test_zero_channel_system_is_a_usage_error(tmp_path, capsys):
         assert "at least one channel pair" in err
 
 
+def test_non_quadrature_system_is_refused_alike_by_every_verdict_command(tmp_path, capsys):
+    """check, check --theta J and synthesize hold a system to one contract: an
+    odd state or non-square channels exit 2 with one message, and no report."""
+    rng = np.random.default_rng(30)
+    odd = StateSpace(-np.eye(3), rng.standard_normal((3, 2)), rng.standard_normal((2, 3)),
+                     np.eye(2))
+    wide = StateSpace(-np.eye(2), rng.standard_normal((2, 4)), rng.standard_normal((2, 2)),
+                      rng.standard_normal((2, 4)))
+    for name, ss, message in (
+        ("odd", odd, "quadrature model needs even state and channel dimensions, "
+                     "got state 3, channels 2"),
+        ("wide", wide, "square system required, got 2x4"),
+    ):
+        path = write(tmp_path, f"{name}.json", jsonio.encode_state_space(ss))
+        results = [run(capsys, *argv, "--input", path)
+                   for argv in (["check"], ["check", "--theta", "J"], ["synthesize"])]
+        assert results == [(2, "", f"error: {message}\n")] * 3, name
+
+
 def test_factor_of_an_empty_matrix(tmp_path, capsys):
     path = write(tmp_path, "empty.json", jsonio.encode_real_matrix(np.zeros((0, 0))))
     code, out, err = run(capsys, "factor", "--input", path)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oqho import statespace
-from oqho.errors import NearPoleError
+from oqho.errors import NearPoleError, SamplePlacementError
 from oqho.forms import build_ac_realization, build_pm_realization, eval_ac_tf, pm_to_ac
 from oqho.realizability import check_jj_unitary, check_pr_frequency
 from oqho.sampling import random_pm_params
@@ -182,8 +182,9 @@ def test_no_points_gives_empty_stack():
     ss = example_state_space()
     assert evaluate(ss, []).shape == (0, 4, 4)
     assert evaluate(StateSpace.static(np.eye(2)), []).shape == (0, 2, 2)
-    result = check_jj_unitary(ss, num_samples=0)
-    assert result.passed and result.max_residual == 0.0 and result.sample_points == []
+    # with no point every system would pass: the sampled check refuses to decide
+    with pytest.raises(SamplePlacementError, match="no sample points to decide on: 0 requested"):
+        check_jj_unitary(ss, num_samples=0)
 
 
 def test_near_pole_error_names_first_offending_point_and_its_pole():

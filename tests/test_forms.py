@@ -10,7 +10,6 @@ from oqho.forms import (
     build_ac_realization,
     build_pm_realization,
     eval_ac_tf,
-    ito_matrix,
     pm_to_ac,
 )
 from oqho.sampling import random_ac_params, random_pm_params
@@ -24,20 +23,6 @@ from oqho.worked_example import (
 
 seeds = st.integers(0, 10**6)
 small_dims = st.tuples(st.integers(1, 3), st.integers(1, 3))
-
-
-def test_ito_matrix_eigenvalues():
-    for m in (1, 2, 3):
-        mat = ito_matrix(m)
-        assert np.linalg.norm(mat - np.eye(2 * m) - 1j * j_matrix(2 * m)) == 0.0
-        evals = np.sort(np.linalg.eigvals(mat).real)
-        assert np.allclose(evals[: m], 0.0, atol=1e-12)
-        assert np.allclose(evals[m:], 2.0, atol=1e-12)
-
-
-def test_ito_matrix_rejects_zero_channels():
-    with pytest.raises(DimensionError):
-        ito_matrix(0)
 
 
 class TestPmParamsValidation:

@@ -1,12 +1,15 @@
 """The README agrees with the code: the quick-start block runs and prints
 what its comments say, the "Numerical cutoffs" table names constants that
 exist with the stated values, and the "File formats" table lists the fields
-that ``jsonio`` recognizes each payload kind by."""
+that ``jsonio`` recognizes each payload kind by, and the names it lists as
+removed are gone."""
 
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import oqho
 from oqho import jsonio
 from oqho.realizability import REBUILD_TOLERANCE
 
@@ -62,3 +65,24 @@ def test_quick_start_block_runs(capsys):
     verdict, _, deviation = capsys.readouterr().out.splitlines()
     assert verdict == "PR"
     assert float(deviation) < REBUILD_TOLERANCE
+
+
+def removed_names():
+    """The names of README's list of removed public names: its backquoted
+    names outside parentheses, which hold what to use instead."""
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split(" public names that ", 1)[1].split("\n\n", 1)[0]
+    while (bare := re.sub(r"\([^()]*\)", "", paragraph)) != paragraph:
+        paragraph = bare
+    return re.findall(r"`(\w+)`", paragraph)
+
+
+def test_removed_names_are_gone():
+    names = removed_names()
+    assert len(names) == 13 and {"murnaghan", "ito_matrix"} <= set(names)
+    modules = [importlib.import_module(f"oqho.{info.name}")
+               for info in pkgutil.iter_modules(oqho.__path__)]
+    listed = {name for module in modules for name in getattr(module, "__all__", ())}
+    for name in names:
+        assert not hasattr(oqho, name), name
+        assert name not in listed, name

@@ -527,6 +527,39 @@ def test_refused_minimal_input_is_solved_and_reduced_once(monkeypatch, staircase
     assert len(staircase_calls) == 2
 
 
+def test_non_square_input_is_refused_before_any_work(monkeypatch, count_eigendecompositions):
+    """synthesize holds its input to the contract of every check first: a 2x4
+    system is refused with no eigendecomposition and no reduction."""
+    rng = np.random.default_rng(4400)
+    wide = StateSpace(rng.standard_normal((2, 2)) - 3.0 * np.eye(2), rng.standard_normal((2, 4)),
+                      rng.standard_normal((2, 2)), rng.standard_normal((2, 4)))
+    reductions = counted_calls(monkeypatch, realizability, "minimal_realization")
+
+    def refused():
+        with pytest.raises(DimensionError, match="square system required, got 2x4"):
+            synthesize(wide)
+
+    assert count_eigendecompositions(refused) == 0
+    assert reductions == []
+
+
+def test_odd_state_input_is_refused_as_the_check_refuses_it():
+    """A realizable 2-state core plus one hidden stable state is no quadrature
+    model: synthesize refuses it with the check's DimensionError, rather than
+    reduce it to the core."""
+    core = build_pm_realization(random_pm_params(1, 1, np.random.default_rng(4500)))
+    odd = StateSpace(np.block([[core.A, np.zeros((2, 1))], [np.zeros((1, 2)), -np.eye(1)]]),
+                     np.vstack([core.B, np.zeros((1, 2))]),
+                     np.hstack([core.C, np.zeros((2, 1))]), core.D)
+    with pytest.raises(DimensionError) as checked:
+        check_pr_frequency(odd)
+    with pytest.raises(DimensionError) as synthesized:
+        synthesize(odd)
+    assert str(synthesized.value) == str(checked.value)
+    assert "got state 3, channels 2" in str(checked.value)
+    assert synthesize(core).reduced_from is None
+
+
 def test_check_jj_unitary_on_reference_model():
     result = check_jj_unitary(example_state_space())
     assert result.passed
@@ -568,13 +601,15 @@ def test_frequency_check_rejects_generic_system():
 @pytest.mark.parametrize("samples", [0, -1])
 def test_frequency_check_without_sample_points_is_inconclusive(samples):
     """No sample point is no evidence: the verdict is inconclusive whatever
-    the system, while check_jj_unitary passes vacuously."""
+    the system, as check_jj_unitary refuses to decide with no point."""
     for ss in (StateSpace.static(np.array([[0.0, 1.0], [1.0, 0.0]])), example_state_space()):
         report = check_pr_frequency(ss, num_samples=samples)
         assert report.verdict == "inconclusive"
         assert report.failure_reason == f"no sample points to decide on: {samples} requested"
         assert report.jj_unitarity_max_residual is None
-    assert check_jj_unitary(example_state_space(), num_samples=0).passed
+        with pytest.raises(SamplePlacementError) as exc:
+            check_jj_unitary(ss, num_samples=samples)
+        assert str(exc.value) == report.failure_reason
 
 
 def test_compute_f_refuses_a_feedthrough_that_is_not_symplectic():

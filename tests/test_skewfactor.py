@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from oqho.errors import DimensionError, SingularMatrixError, StructureError
 from oqho.sampling import random_orthogonal, random_skew_nonsingular, random_symplectic
-from oqho.skewfactor import cholesky_like, murnaghan, relate_ccr
+from oqho.skewfactor import cholesky_like, relate_ccr
 from oqho.structured import j_matrix, orthogonality_residual, symplectic_residual
 
 seeds = st.integers(0, 10**6)
@@ -63,8 +63,6 @@ def test_factorizations_match_per_pair_reference_bit_for_bit():
     previous = None
     for theta in reference_corpus():
         sigma, o, deltas = reference_cholesky_like(theta)
-        got_o, got_deltas = murnaghan(theta)
-        assert np.array_equal(got_o, o) and np.array_equal(got_deltas, deltas)
         fact = cholesky_like(theta)
         assert np.array_equal(fact.O, o) and np.array_equal(fact.deltas, deltas)
         assert np.array_equal(fact.Sigma, sigma)
@@ -75,53 +73,54 @@ def test_factorizations_match_per_pair_reference_bit_for_bit():
 
 
 def test_empty_matrix_factors_to_empty_arrays():
-    o, deltas = murnaghan(np.zeros((0, 0)))
     fact = cholesky_like(np.zeros((0, 0)))
-    for mat in (o, fact.O, fact.Sigma):
+    for mat in (fact.O, fact.Sigma):
         assert mat.shape == (0, 0)
-    for d in (deltas, fact.deltas):
-        assert d.shape == (0,) and d.dtype == float
+    assert fact.deltas.shape == (0,) and fact.deltas.dtype == float
 
 
-def test_murnaghan_already_canonical():
+def test_canonical_form_already_canonical():
     theta = np.array([[0.0, 3.0], [-3.0, 0.0]])
-    o, deltas = murnaghan(theta)
+    fact = cholesky_like(theta)
+    o, deltas = fact.O, fact.deltas
     assert np.allclose(o, np.eye(2), atol=1e-12)
     assert np.allclose(deltas, [3.0])
 
 
-def test_murnaghan_on_j():
-    o, deltas = murnaghan(j_matrix(4))
+def test_canonical_form_of_j():
+    fact = cholesky_like(j_matrix(4))
+    o, deltas = fact.O, fact.deltas
     assert np.allclose(deltas, [1.0, 1.0])
     assert orthogonality_residual(o) < 1e-10
     rebuilt = o @ canonical_blocks(deltas) @ o.T
     assert np.linalg.norm(rebuilt - j_matrix(4)) < 1e-10
 
 
-def test_murnaghan_recovers_known_deltas():
+def test_canonical_form_recovers_known_deltas():
     rng = np.random.default_rng(9)
     q = random_orthogonal(4, rng)
     theta = q @ canonical_blocks([5.0, 2.0]) @ q.T
-    o, deltas = murnaghan(theta)
+    fact = cholesky_like(theta)
+    o, deltas = fact.O, fact.deltas
     assert np.allclose(deltas, [5.0, 2.0], atol=1e-10)
     assert np.linalg.norm(o @ canonical_blocks(deltas) @ o.T - theta) < 1e-10
 
 
-def test_murnaghan_rejects_non_skew():
+def test_cholesky_like_rejects_non_skew():
     with pytest.raises(StructureError):
-        murnaghan(np.eye(4))
+        cholesky_like(np.eye(4))
 
 
-def test_murnaghan_rejects_odd_dimension():
+def test_cholesky_like_rejects_odd_dimension():
     with pytest.raises(DimensionError):
-        murnaghan(np.zeros((3, 3)))
+        cholesky_like(np.zeros((3, 3)))
 
 
-def test_murnaghan_rejects_singular():
+def test_cholesky_like_rejects_singular():
     theta = np.zeros((4, 4))
     theta[0, 1], theta[1, 0] = 1.0, -1.0  # rank-2 only
     with pytest.raises(SingularMatrixError):
-        murnaghan(theta)
+        cholesky_like(theta)
 
 
 def test_cholesky_like_on_j_reproduces_j():
@@ -229,9 +228,9 @@ def test_non_skew_input_is_refused_although_its_skew_part_is_memoized(eigh_calls
     assert (0.5 * (bad - bad.T)).tobytes() == (0.5 * (theta - theta.T)).tobytes()
     cholesky_like(theta)
     refusals = []
-    for factor in (murnaghan, cholesky_like, murnaghan):
+    for _ in range(3):
         with pytest.raises(StructureError) as exc:
-            factor(bad)
+            cholesky_like(bad)
         refusals.append((str(exc.value), exc.value.residuals))
     assert refusals == [refusals[0]] * 3
     assert len(eigh_calls) == 1
@@ -263,23 +262,22 @@ def test_exactly_skew_part_shares_the_factor_of_its_source(eigh_calls):
 
 def test_changing_a_returned_factor_leaves_the_next_result_unchanged():
     theta = random_skew_nonsingular(6, np.random.default_rng(33))
-    o, deltas = murnaghan(theta)
     fact = cholesky_like(theta)
-    want = [x.copy() for x in (o, deltas, fact.Sigma, fact.O, fact.deltas)]
-    for x in (o, deltas, fact.Sigma, fact.O, fact.deltas):
+    want = [x.copy() for x in (fact.Sigma, fact.O, fact.deltas)]
+    for x in (fact.Sigma, fact.O, fact.deltas):
         assert x.flags.writeable
         x[...] = 0.0
     again = cholesky_like(theta)
-    got = [*murnaghan(theta), again.Sigma, again.O, again.deltas]
+    got = [again.Sigma, again.O, again.deltas]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_skew_form_memo_keeps_the_last_two(eigh_calls):
     thetas = [float(k + 1) * j_matrix(4) for k in range(3)]
     for theta in thetas:
-        murnaghan(theta)
-    murnaghan(thetas[2])
-    murnaghan(thetas[1])
+        cholesky_like(theta)
+    cholesky_like(thetas[2])
+    cholesky_like(thetas[1])
     assert len(eigh_calls) == 3
-    murnaghan(thetas[0])  # evicted by the third
+    cholesky_like(thetas[0])  # evicted by the third
     assert len(eigh_calls) == 4

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oqho.errors import DimensionError, SingularMatrixError, StructureError
 from oqho.forms import AcParams, PmParams
 from oqho.realizability import check_pr_time_domain
-from oqho.skewfactor import cholesky_like, murnaghan
+from oqho.skewfactor import cholesky_like
 from oqho.statespace import StateSpace, inverse_realization, similarity_transform
 from oqho.structured import (
     SINGULARITY_CUTOFF,
@@ -282,7 +282,6 @@ STRUCTURE_SITES = {
     "AcParams.validate H2 symmetric": (
         "symmetric", "annihilation-creation parameters", "h2_symmetry",
         lambda x: AcParams(**{**_AC, "H2": x}).validate()),
-    "murnaghan": ("skew", "skew matrix", "skew_symmetry", murnaghan),
     "cholesky_like": ("skew", "skew matrix", "skew_symmetry", cholesky_like),
     "check_pr_time_domain": (
         "skew", "commutation matrix Theta", "theta_skew_symmetry",
@@ -359,14 +358,14 @@ def singular_rule_site(site, ratio):
         "PmParams.validate": ("commutation matrix Theta", pm.validate),
         "check_pr_time_domain": (
             "commutation matrix Theta", lambda: check_pr_time_domain(example_state_space(), theta)),
-        "murnaghan": ("skew matrix", lambda: murnaghan(theta)),
+        "cholesky_like": ("skew matrix", lambda: cholesky_like(theta)),
         "AcParams.validate": ("ladder transformation E", ac.validate),
     }[site]
 
 
 @pytest.mark.parametrize("site", [
     "inverse_realization", "similarity_transform", "PmParams.validate",
-    "check_pr_time_domain", "murnaghan", "AcParams.validate",
+    "check_pr_time_domain", "cholesky_like", "AcParams.validate",
 ])
 def test_one_singular_matrix_rule_at_every_site(site):
     """A ratio 0.1% below SINGULARITY_CUTOFF is refused in the one message

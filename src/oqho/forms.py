@@ -23,7 +23,8 @@ network:
 The two sides are exchanged entrywise by the nabla / block-extraction maps,
 and the realizations are conjugate under the ladder change of basis T.  Every
 builder and conversion first validates its parameters by the package's
-structure and singular-matrix rules in ``structured``; none takes a tolerance.
+structure and singular-matrix rules in ``structured`` (Theta through its
+skew canonical form in ``skewfactor``); none takes a tolerance.
 A parameter set may have no modes (a static network, whose realization is
 D alone) and takes the same formulas then; it needs at least one channel.
 """
@@ -33,10 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .skewfactor import cholesky_like
+from .skewfactor import _skew_form, cholesky_like
 from .statespace import StateSpace, _eigensystem, _evaluate_quadruple
 from .structured import (
-    _array_memo,
     _min_singular_ratio,
     _require_nonsingular,
     _require_structure,
@@ -112,17 +112,17 @@ class PmParams:
         }
 
     def validate(self) -> dict:
-        """Check D orthosymplectic, R symmetric and Theta skew by the structure
-        rule and Theta nonsingular; raise on violation, else return the residuals.
-
-        A two-entry memo keyed on D, M, R and Theta serves a repeated
-        validation of the same parameters (the builder's and then
-        ``pm_to_ac``'s, after ``synthesize``) without the four residuals and
-        the SVD of Theta.  Each call returns a fresh dict; a violation is
-        found and raised afresh on every call.  An entry of n states keeps the
-        key bytes, about 2 n^2 * 8 for R and Theta: 16 MB at 1024 states.
-        """
-        return dict(_validated_residuals(self.D, self.M, self.R, self.Theta))
+        """Check D orthosymplectic and R symmetric by the structure rule, then
+        Theta by ``skewfactor._skew_form``, the one rule for a commutation
+        matrix; raise on violation, else return all four residuals."""
+        res = self.structure_residuals()
+        _require_structure("position-momentum parameters", res, {
+            "d_orthogonality": self.D,
+            "d_symplectic": self.D,
+            "r_symmetry": self.R,
+        })
+        _skew_form(self.Theta)
+        return res
 
     def symmetrized(self) -> "PmParams":
         """Copy with R exactly symmetric and Theta exactly skew."""
@@ -132,21 +132,6 @@ class PmParams:
             0.5 * (self.R + self.R.T),
             0.5 * (self.Theta - self.Theta.T),
         )
-
-
-@_array_memo
-def _validated_residuals(d, m, r, theta) -> tuple:
-    """``PmParams.validate`` of (D, M, R, Theta), its residuals as items."""
-    params = PmParams(d, m, r, theta)
-    res = params.structure_residuals()
-    _require_structure("position-momentum parameters", res, {
-        "d_orthogonality": params.D,
-        "d_symplectic": params.D,
-        "r_symmetry": params.R,
-        "theta_skew_symmetry": params.Theta,
-    })
-    _require_nonsingular(_min_singular_ratio(params.Theta), "commutation matrix Theta")
-    return tuple(res.items())
 
 
 @dataclass
@@ -329,10 +314,10 @@ def pm_to_ac(params: PmParams) -> AcParams:
     The scattering matrix is the first extracted block of D (the second
     vanishes for orthosymplectic D).  The ladder transformation comes from the
     square-root factorization Theta = Sigma J Sigma^T, so E is one
-    deterministic representative of the symplectic gauge class.  For the
-    parameters of a ``synthesize`` call, the validation and the ``eigh`` of
-    Theta come from the memos that the synthesis filled; parameters seen
-    afresh cost an SVD and an ``eigh`` of Theta.
+    deterministic representative of the symplectic gauge class.  The
+    validation and the factorization share one ``eigh`` of Theta through the
+    skew-form memo; for the parameters of a ``synthesize`` call, it is the
+    one the synthesis made.
     """
     params.validate()
     p = params.symmetrized()

@@ -63,7 +63,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .forms import PmParams, build_pm_realization
-from .skewfactor import relate_ccr
+from .skewfactor import _skew_form, relate_ccr
 from .statespace import (
     StateSpace,
     _basis_condition,
@@ -76,10 +76,8 @@ from .statespace import (
 from .structured import (
     _min_singular_ratio,
     _require_nonsingular,
-    _require_structure,
     j_matrix,
     orthogonality_residual,
-    skew_symmetry_residual,
     symplectic_residual,
 )
 
@@ -305,7 +303,8 @@ def check_pr_frequency(ss: StateSpace, tol: float = VERDICT_TOLERANCE,
 
 def check_pr_time_domain(ss: StateSpace, theta,
                          tol: float = VERDICT_TOLERANCE) -> PrReport:
-    """Parameter-level realizability verdict against a fixed commutation matrix."""
+    """Parameter-level realizability verdict against a fixed commutation matrix,
+    accepted by ``skewfactor._skew_form`` as every command accepts one."""
     channels = ss.require_square_channels()
     theta = np.asarray(theta, dtype=float)
     n2 = ss.state_dim
@@ -313,10 +312,7 @@ def check_pr_time_domain(ss: StateSpace, theta,
         raise DimensionError(
             f"Theta must be {n2}x{n2} to match the state, got {theta.shape}"
         )
-    _require_structure("commutation matrix Theta",
-                       {"theta_skew_symmetry": skew_symmetry_residual(theta)},
-                       {"theta_skew_symmetry": theta})
-    _require_nonsingular(_min_singular_ratio(theta), "commutation matrix Theta")
+    _skew_form(theta)
     conditions = _time_domain_conditions(ss, j_matrix(channels), theta,
                                          np.linalg.inv(theta))
     return _report("time", conditions, conditions, tol)

@@ -5,9 +5,9 @@ Theta = O blkdiag([[0, d_i], [-d_i, 0]]) O^T with d_1 >= ... >= d_n > 0, and a
 Cholesky-like square-root factorization Theta = Sigma J Sigma^T against the
 canonical symplectic form J.  The blocks are recovered through the Hermitian
 eigenproblem of i*Theta, whose +d eigenvectors carry each invariant plane.
-Theta's skew symmetry is accepted and the d_i, its singular values, decide
-its invertibility by the package's two rules in ``structured``; both
-factorizations treat all pairs in one array pass.
+For every command, Theta's skew symmetry and, by the d_i (its singular
+values), its invertibility are decided here, by the package's two rules in
+``structured``; both factorizations treat all pairs in one array pass.
 """
 
 from dataclasses import dataclass
@@ -47,18 +47,21 @@ def _skew_form(theta) -> tuple:
     Theta, Theta = O blkdiag([[0, d_i], [-d_i, 0]]) O^T with the d_i
     descending, through a two-entry memo.
 
-    The raw input is checked before the lookup, so a non-skew matrix is
-    refused on every call.  The memo is keyed on the symmetrized matrix; that
-    of an exactly skew input is the input itself, bit for bit, so Theta and
-    the ``PmParams.symmetrized`` copy of it share one entry.  An entry of n
-    states keeps the n^2 * 8 key bytes and O: about 16 MB at 1024 states.
+    The one rule for a commutation matrix: one not skew or singular (by the
+    d_i) is refused as "commutation matrix Theta".  The raw input is checked
+    before the lookup, so a non-skew matrix is refused on every call.  The
+    memo is keyed on the symmetrized matrix; that of an exactly skew input is
+    the input itself, bit for bit, so Theta and the ``PmParams.symmetrized``
+    copy of it share one entry.  An entry of n states keeps the n^2 * 8 key
+    bytes and O: about 16 MB at 1024 states.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[0] != theta.shape[1] or theta.shape[0] % 2:
         raise DimensionError("skew factorization needs an even-dimensional square "
                              f"matrix, got {theta.shape}")
-    _require_structure("skew matrix", {"skew_symmetry": skew_symmetry_residual(theta)},
-                       {"skew_symmetry": theta})
+    _require_structure("commutation matrix Theta",
+                       {"theta_skew_symmetry": skew_symmetry_residual(theta)},
+                       {"theta_skew_symmetry": theta})
     return _canonical_form(0.5 * (theta - theta.T))
 
 
@@ -70,7 +73,7 @@ def _canonical_form(theta: np.ndarray) -> tuple:
     # eigenvalues come in +/- pairs; take the positive half, largest first
     order = np.argsort(evals)[::-1][:n]
     deltas = evals[order].astype(float)
-    _require_nonsingular(_min_singular_ratio(deltas), "skew matrix")
+    _require_nonsingular(_min_singular_ratio(deltas), "commutation matrix Theta")
     if n == 0:  # the argmax below has no row to take
         return np.zeros((0, 0)), deltas
     # The column pair (sqrt2 Im w, sqrt2 Re w) of each +delta eigenvector w is
@@ -92,7 +95,8 @@ def cholesky_like(theta) -> SkewFactorization:
     2x2 blocks.  Sigma is unique only up to a symplectic right factor; this
     construction is deterministic for identical input.  The canonical form
     comes from the skew-form memo (see ``_skew_form``), so a Theta factored
-    again takes no second ``eigh``; every array returned is the caller's own.
+    or validated again takes no second ``eigh``; every array returned is the
+    caller's own.
     """
     o, deltas = _skew_form(theta)
     columns = np.arange(2 * deltas.size).reshape(-1, 2).T.ravel()

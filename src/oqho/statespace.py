@@ -56,8 +56,9 @@ RESOLVENT_GUARD = 1e-9
 # values stay within 1e-11 of the solves up to it (scripts/modal_sweep.py).
 MODAL_CONDITION_LIMIT = 1e4
 
-# A staircase direction with singular value below RANK_CUTOFF * |B|_F in the
-# first block, or RANK_CUTOFF * |A|_F in a later one, is taken as unreachable.
+# A staircase direction with singular value below RANK_CUTOFF times the input's
+# |B|_F (|C|_F in the observable stage) in the first block, or |A|_F in a later
+# one, is unreachable.
 RANK_CUTOFF = 1e-10
 
 # Two values closer than PAIRING_TOLERANCE * max|pole| mirror each other: the
@@ -297,12 +298,13 @@ def similarity_transform(ss: StateSpace, t: np.ndarray) -> StateSpace:
     return StateSpace(a_new, t @ ss.B, c_new, ss.D.copy())
 
 
-def _reachable_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _reachable_basis(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
     """Orthonormal basis of the reachable subspace of (a, b): the orthogonal staircase.
 
     Block Arnoldi: each new block a @ V_k is orthogonalized twice against the
     basis so far, and an SVD keeps the directions whose singular values clear
-    RANK_CUTOFF * |b|_F in the first block and RANK_CUTOFF * |a|_F after.  No
+    RANK_CUTOFF * scale, the input's |B|_F or |C|_F of which ``b`` may be a
+    projection, in the first block and RANK_CUTOFF * |a|_F after.  No
     power of ``a`` is formed: the Krylov matrix [b, ab, ..., a^{n-1} b] loses
     rank numerically from a few modes up and overflows at a few hundred states
     (Paige, 1981).
@@ -312,7 +314,7 @@ def _reachable_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    cutoff, cutoff_a = RANK_CUTOFF * np.linalg.norm(b), RANK_CUTOFF * np.linalg.norm(a)
+    cutoff, cutoff_a = RANK_CUTOFF * scale, RANK_CUTOFF * np.linalg.norm(a)
     basis = np.zeros((a.shape[0], 0))
     block = b
     while block.shape[1] and basis.shape[1] < a.shape[0]:
@@ -338,9 +340,9 @@ def minimal_realization(ss: StateSpace) -> StateSpace:
     A minimal input, whose two bases span the state, is returned itself.
     """
     a, b, c = ss.A, ss.B, ss.C
-    v = _reachable_basis(a, b)
+    v = _reachable_basis(a, b, np.linalg.norm(b))
     a, b, c = v.T @ a @ v, v.T @ b, c @ v
-    w = _reachable_basis(a.T, c.T)
+    w = _reachable_basis(a.T, c.T, np.linalg.norm(ss.C))
     if w.shape[1] == ss.state_dim:
         return ss
     a, b, c = w.T @ a @ w, w.T @ b, c @ w

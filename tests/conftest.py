@@ -1,6 +1,6 @@
-"""Every test starts with every memo empty (the eigensystem, the skew form,
-the parameter validation and the J templates), so that no test's results
-depend on which tests ran before it."""
+"""Every test starts with every memo empty (the eigensystem, the skew form
+and the J templates), so that no test's results depend on which tests ran
+before it."""
 
 import pytest
 

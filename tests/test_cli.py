@@ -246,6 +246,37 @@ def scaled_theta(scale, asymmetry):
     return theta
 
 
+# the commutation matrices of the golden corpus that every command refuses
+REFUSED_THETAS = {
+    "non_skew": np.arange(16.0).reshape(4, 4),
+    "rank2": np.pad(j_matrix(2), (0, 2)),
+    "small_theta": scaled_theta(1e-3, 1e-7),  # asymmetric beyond its scale-aware bound
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_THETAS))
+def test_every_command_refuses_a_theta_in_one_line(tmp_path, capsys, system_file, name):
+    """factor, check --theta, synthesize --theta and, as the Theta of a
+    parameter set, convert refuse one bad commutation matrix alike: exit 2
+    and the same one error line, which names it."""
+    theta = REFUSED_THETAS[name]
+    theta_path = write(tmp_path, "theta.json", jsonio.encode_real_matrix(theta))
+    pm_path = write(tmp_path, "pm.json", jsonio.encode_pm_params(
+        PmParams(np.eye(2), 0.5 * np.ones((2, 4)), np.eye(4), theta)))
+    errors = []
+    for argv in (["factor", "--input", theta_path],
+                 ["check", "--input", system_file, "--theta", theta_path],
+                 ["synthesize", "--input", system_file, "--theta", theta_path],
+                 ["convert", "--direction", "pm2ac", "--input", pm_path]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        errors.append(err)
+    assert errors == [errors[0]] * 4
+    assert errors[0].count("\n") == 1
+    assert errors[0].startswith(("error: invalid commutation matrix Theta: ",
+                                 "error: commutation matrix Theta is singular "))
+
+
 @pytest.mark.parametrize("scale, asymmetry, want", [(1e-3, 1e-7, 2), (1e3, 1e-9, 0)])
 def test_factor_and_convert_decide_like_the_library(tmp_path, capsys, scale,
                                                     asymmetry, want):

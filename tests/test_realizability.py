@@ -37,7 +37,9 @@ from oqho.statespace import (
     block_diag,
     eval_conjugate_tf,
     eval_tf,
+    inverse_realization,
     is_minimal,
+    minimal_realization,
     poles,
     similarity_transform,
     siso_realization,
@@ -343,10 +345,12 @@ def test_eigendecompositions_per_call(count_eigendecompositions):
 
 def test_factorizations_per_synthesis(monkeypatch):
     """The n x n factorizations of one 5-mode synthesis.  inv: V, F, Sigma and
-    the builder's Theta; svd: the singular rule on F and on Theta (validate);
-    eig: A; eigh: F^{-1} and Theta in relate_ccr.  Theta is decomposed only by
-    the steps that use it, and the rebuilt system is not re-checked.  A
-    pm_to_ac of the result adds none of them."""
+    the builder's Theta; svd: the singular rule on F; eig: A; eigh: F^{-1} and
+    Theta in relate_ccr, whose skew form also validates Theta in the builder.
+    Theta is decomposed only by the steps that use it, and the rebuilt system
+    is not re-checked.  A pm_to_ac of the result adds none of them, and one
+    of parameters seen afresh takes only the eigh of Theta that validates
+    and factors it."""
     ss = build_pm_realization(random_pm_params(5, 1, np.random.default_rng(3)))
     calls = dict.fromkeys(("inv", "svd", "eig", "eigh"), 0)
     for name in calls:
@@ -358,14 +362,19 @@ def test_factorizations_per_synthesis(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     synthesize(ss)
-    assert calls == {"inv": 4, "svd": 2, "eig": 1, "eigh": 2}
-    # converting the synthesized parameters reuses the synthesis's validation
-    # of them and its eigh of the target Theta
+    assert calls == {"inv": 4, "svd": 1, "eig": 1, "eigh": 2}
+    # converting the synthesized parameters reuses the synthesis's eigh of the
+    # target Theta, which validates it too
     structured._clear_memos()
     calls.update(dict.fromkeys(calls, 0))
     theta = random_skew_nonsingular(10, np.random.default_rng(4))
     pm_to_ac(synthesize(ss, theta).params)
-    assert calls == {"inv": 4, "svd": 2, "eig": 1, "eigh": 2}
+    assert calls == {"inv": 4, "svd": 1, "eig": 1, "eigh": 2}
+    params = random_pm_params(5, 1, np.random.default_rng(5))
+    structured._clear_memos()
+    calls.update(dict.fromkeys(calls, 0))
+    pm_to_ac(params)
+    assert calls == {"inv": 0, "svd": 0, "eig": 0, "eigh": 1}
 
 
 def test_synthesize_checks_no_time_domain_conditions(monkeypatch):
@@ -511,6 +520,29 @@ def test_hidden_mirrored_pair_is_reduced(modes, pair):
     assert result.reduced_from == core.state_dim + 2
     assert result.params.Theta.shape == core.A.shape
     assert result.equation_residuals["rebuild_max_relative_deviation"] < 1e-7
+
+
+def series(g2, g1):
+    """The series product of g1 into g2: g1's output feeds g2's input (Gough
+    and James, IEEE TAC 54(11), 2009)."""
+    n1, n2 = g1.state_dim, g2.state_dim
+    return StateSpace(np.block([[g1.A, np.zeros((n1, n2))], [g2.B @ g1.C, g2.A]]),
+                      np.vstack([g1.B, g2.B @ g1.D]),
+                      np.hstack([g2.D @ g1.C, g2.C]), g2.D @ g1.D)
+
+
+@pytest.mark.parametrize("states", [4, 16, 64])
+def test_inverse_cascade_is_reduced_to_its_static_transfer(states):
+    """G fed into G^-1 has transfer I, so every state is hidden.  Its
+    reachable part, G's states, sees C only to rounding; the observable
+    staircase cuts that first block relative to the input's own C, not to
+    its own norm, and synthesis certifies the static remainder."""
+    g = build_pm_realization(random_pm_params(states // 4, 1, np.random.default_rng(3)))
+    ss = series(inverse_realization(g), g)
+    assert minimal_realization(ss).state_dim == 0
+    result = synthesize(ss)
+    assert result.reduced_from == states
+    assert result.params.modes == 0
 
 
 def test_refused_minimal_input_is_solved_and_reduced_once(monkeypatch, staircase_calls):

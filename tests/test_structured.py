@@ -271,7 +271,7 @@ STRUCTURE_SITES = {
         "symmetric", "position-momentum parameters", "r_symmetry",
         lambda x: PmParams(**{**_PM, "R": x}).validate()),
     "PmParams.validate Theta skew": (
-        "skew", "position-momentum parameters", "theta_skew_symmetry",
+        "skew", "commutation matrix Theta", "theta_skew_symmetry",
         lambda x: PmParams(**{**_PM, "Theta": x}).validate()),
     "AcParams.validate S unitary": (
         "unitary", "annihilation-creation parameters", "s_unitarity",
@@ -282,7 +282,8 @@ STRUCTURE_SITES = {
     "AcParams.validate H2 symmetric": (
         "symmetric", "annihilation-creation parameters", "h2_symmetry",
         lambda x: AcParams(**{**_AC, "H2": x}).validate()),
-    "cholesky_like": ("skew", "skew matrix", "skew_symmetry", cholesky_like),
+    "cholesky_like": ("skew", "commutation matrix Theta", "theta_skew_symmetry",
+                      cholesky_like),
     "check_pr_time_domain": (
         "skew", "commutation matrix Theta", "theta_skew_symmetry",
         lambda x: check_pr_time_domain(example_state_space(), x)),
@@ -358,7 +359,7 @@ def singular_rule_site(site, ratio):
         "PmParams.validate": ("commutation matrix Theta", pm.validate),
         "check_pr_time_domain": (
             "commutation matrix Theta", lambda: check_pr_time_domain(example_state_space(), theta)),
-        "cholesky_like": ("skew matrix", lambda: cholesky_like(theta)),
+        "cholesky_like": ("commutation matrix Theta", lambda: cholesky_like(theta)),
         "AcParams.validate": ("ladder transformation E", ac.validate),
     }[site]
 
